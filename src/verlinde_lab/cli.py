@@ -3,27 +3,21 @@
 Subcommands: graphs, count, verlinde, check, polytope, abelian.  Every
 command emits a run report (JSON by default, CSV for the tabular payloads
 with --format csv) and exits 0 exactly when all embedded cross-checks pass.
-Work and memory budgets are explicit flags, seeds are explicit flags, and
-the VERLINDE_LAB_THREADS environment variable caps worker fan-out.
+Work and memory budgets are explicit flags, and seeds are explicit flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from verlinde_lab import abelian as abelian_mod
 from verlinde_lab import fusion, graph, polytope, weights
-
-#: Environment variable capping CLI parallelism.
-THREADS_ENV = "VERLINDE_LAB_THREADS"
 
 DEFAULT_MC_SAMPLES = 10**6
 DEFAULT_SEED = 0
@@ -60,23 +54,6 @@ class RunReport:
             "checks": self.checks,
             "timing_seconds": round(self.timing_seconds, 6),
         }
-
-
-def worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map, fanned out across at most worker_count() threads."""
-    items = list(items)
-    workers = min(worker_count(), max(1, len(items)))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _graphs_for(args) -> list[tuple[str, graph.TrinionGraph]]:
@@ -142,7 +119,7 @@ def cmd_count(args) -> RunReport:
         },
     )
     pairs = _graphs_for(args)
-    counts = _parallel_map(lambda p: _count_one(p[1], args.level, args.method, args), pairs)
+    counts = [_count_one(G, args.level, args.method, args) for _, G in pairs]
     table = [
         {"graph": ident, "count": n} for (ident, _), n in zip(pairs, counts)
     ]
@@ -178,17 +155,12 @@ def cmd_check(args) -> RunReport:
     pairs = _graphs_for(args)
     levels = list(range(args.max_level + 1))
     first_discrepancy = None
-
-    def contraction_task(item):
-        (ident, G), k = item
-        return weights.count_via_contraction(G, k, max_frontier=args.max_frontier)
-
-    tasks = [(pair, k) for k in levels for pair in pairs]
-    contraction = dict(zip(tasks, _parallel_map(contraction_task, tasks)))
-
     for k in levels:
         dim = fusion.verlinde_dim(args.genus, k)
-        counts = {ident: contraction[((ident, G), k)] for ident, G in pairs}
+        counts = {
+            ident: weights.count_via_contraction(G, k, max_frontier=args.max_frontier)
+            for ident, G in pairs
+        }
         agree_graphs = len(set(counts.values())) == 1
         agree_verlinde = all(n == dim for n in counts.values())
         report.add_check(f"graph-independence[k={k}]", agree_graphs, counts=counts)

@@ -17,11 +17,23 @@ consistency criterion the counting cross-checks enforce.
 The boundary assignment j_e = k everywhere (the maximally degenerate fibre)
 violates condition (2) at every vertex for k >= 1 and is deliberately not
 counted; the counts here are strict.
+
+Two routes count the admissible assignments.  count_admissible_bruteforce
+is a pruned depth-first enumeration and serves as the oracle.
+count_via_contraction gives every vertex a dense 0/1 numpy tensor over its
+edge labels and merges the tensors pairwise with np.tensordot, in a greedy
+order that keeps the fewest edges open.  It computes in int64 when
+(k+1)^E < 2^63, a bound no count it forms can exceed, and in exact Python
+ints (dtype=object) otherwise.  Each tensor's (k+1)^width cells are checked
+against a budget before it is allocated; the default of 10^7 cells holds one
+int64 tensor to about 80 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from verlinde_lab.graph import TrinionGraph
 
@@ -213,92 +225,36 @@ def theta_basis(
 # ---------------------------------------------------------------------------
 
 
-class _Tensor:
-    """Sparse integer tensor over the open-edge label space of a vertex cluster."""
+def _contraction_dtype(G: TrinionGraph, k: int):
+    """int64 when (k+1)^E < 2^63, else object (exact Python ints).
 
-    __slots__ = ("vertices", "open_edges", "entries")
-
-    def __init__(self, vertices: frozenset[int], open_edges: tuple[int, ...], entries: dict):
-        self.vertices = vertices
-        self.open_edges = open_edges
-        self.entries = entries
+    Every tensor entry, and every partial sum formed while contracting,
+    counts labelings of a subset of G's edges, so it is at most (k+1)^E.
+    """
+    return np.int64 if (k + 1) ** G.edge_count < 2**63 else object
 
 
-def _admissible_triples(k: int):
-    for a in range(k + 1):
-        for b in range(k + 1):
-            hi = min(a + b, 2 * k - a - b)
-            for c in range(abs(a - b), hi + 1, 2):
-                yield a, b, c
+def _vertex_tensor(width: int, k: int, dtype):
+    """0/1 admissibility tensor of a vertex with ``width`` open edges.
 
-
-def _vertex_tensor(v: int, triple: tuple[int, int, int], k: int) -> _Tensor:
-    ids = sorted(set(triple))
-    entries: dict = {}
-    if len(ids) == 3:
-        t0, t1, t2 = triple
-        for a, b, c in _admissible_triples(k):
-            val = {t0: a, t1: b, t2: c}
-            entries[tuple(val[e] for e in ids)] = 1
-        return _Tensor(frozenset([v]), tuple(ids), entries)
-    # Loop vertex: labels (l, l, t) need t even, t <= 2l, 2l + t <= 2k.
-    loop = next(e for e in ids if triple.count(e) == 2)
-    other = next(e for e in ids if e != loop)
-    for l in range(k + 1):
-        for t in range(0, min(2 * l, 2 * k - 2 * l) + 1, 2):
-            val = {loop: l, other: t}
-            entries[tuple(val[e] for e in ids)] = 1
-    tensor = _Tensor(frozenset([v]), tuple(ids), entries)
-    # The loop edge has both endpoints inside this tensor: sum it out now.
-    return _project_out(tensor, [loop])
-
-
-def _project_out(t: _Tensor, edges: list[int]) -> _Tensor:
-    keep = [i for i, e in enumerate(t.open_edges) if e not in edges]
-    new_open = tuple(t.open_edges[i] for i in keep)
-    out: dict = {}
-    for key, val in t.entries.items():
-        nk = tuple(key[i] for i in keep)
-        out[nk] = out.get(nk, 0) + val
-    return _Tensor(t.vertices, new_open, out)
-
-
-def _merge(a: _Tensor, b: _Tensor) -> _Tensor:
-    shared = sorted(set(a.open_edges) & set(b.open_edges))
-    pos_a = [a.open_edges.index(e) for e in shared]
-    pos_b = [b.open_edges.index(e) for e in shared]
-    rest_a = [i for i, e in enumerate(a.open_edges) if e not in shared]
-    rest_b = [i for i, e in enumerate(b.open_edges) if e not in shared]
-    open_a = [a.open_edges[i] for i in rest_a]
-    open_b = [b.open_edges[i] for i in rest_b]
-    new_open = tuple(sorted(open_a + open_b))
-    # Where each surviving index of a/b lands in the merged key.
-    place = {e: i for i, e in enumerate(new_open)}
-    land_a = [place[e] for e in open_a]
-    land_b = [place[e] for e in open_b]
-
-    groups: dict = {}
-    for key, val in b.entries.items():
-        sk = tuple(key[i] for i in pos_b)
-        groups.setdefault(sk, []).append((tuple(key[i] for i in rest_b), val))
-
-    out: dict = {}
-    width = len(new_open)
-    for key, val in a.entries.items():
-        sk = tuple(key[i] for i in pos_a)
-        matches = groups.get(sk)
-        if not matches:
-            continue
-        part_a = tuple(key[i] for i in rest_a)
-        for part_b, val_b in matches:
-            combined = [0] * width
-            for idx, lab in zip(land_a, part_a):
-                combined[idx] = lab
-            for idx, lab in zip(land_b, part_b):
-                combined[idx] = lab
-            ck = tuple(combined)
-            out[ck] = out.get(ck, 0) + val * val_b
-    return _Tensor(a.vertices | b.vertices, new_open, out)
+    A plain vertex has three open edges; the tensor is symmetric, so any
+    axis order serves.  A loop vertex (l, l, t) is summed over l at once:
+    conditions (1)-(3) read t even, t <= 2l and 2l + t <= 2k, which leaves
+    k - t + 1 values of l for every even t, a 1-D tensor on the other edge.
+    """
+    j = np.arange(k + 1)
+    if width == 1:
+        return np.where(j % 2 == 0, k + 1 - j, 0).astype(dtype, copy=False)
+    a, b = j[:, None], j[None, :]
+    # The third label c runs from |a - b| to min(a + b, 2k - a - b) in steps
+    # of 2; the bounds are built on the (a, b) plane so that every 3-D
+    # temporary is boolean.
+    lo = np.abs(a - b)[..., None]
+    hi = np.minimum(a + b, 2 * k - a - b)[..., None]
+    parity = ((a + b) % 2)[..., None]
+    ok = (lo <= j) & (j <= hi) & (j % 2 == parity)
+    # Through int64, so that the object path holds Python ints, not bools.
+    return ok.astype(np.int64).astype(dtype, copy=False)
 
 
 def count_via_contraction(
@@ -306,9 +262,15 @@ def count_via_contraction(
 ) -> int:
     """Exact |W_g^k| by contracting per-vertex admissibility tensors.
 
-    Agrees with count_admissible_bruteforce by construction of the vertex
-    tensors; edges are eliminated in a greedy minimum-frontier order and all
-    arithmetic is arbitrary-precision integer.
+    Each vertex contributes a dense 0/1 numpy tensor over its open edges.
+    Tensors are merged pairwise, one ``np.tensordot`` over their shared
+    edges per step, in a greedy order: the pair whose merge leaves the fewest
+    open edges, ties broken by list position.  Before any tensor is built,
+    its (k+1)^width cells are checked against ``max_frontier``; the default
+    budget of 10^7 cells bounds one int64 frontier at about 80 MB.  Entries
+    are int64 when (k+1)^E < 2^63, which no count can then exceed, and
+    exact Python ints (``dtype=object``) otherwise.  Agrees with
+    count_admissible_bruteforce by construction of the vertex tensors.
     """
     if k < 0:
         raise ValueError("level must be non-negative")
@@ -321,36 +283,38 @@ def count_via_contraction(
                 f"cells; budget is {max_frontier}"
             )
 
+    dtype = _contraction_dtype(G, k)
     tensors = []
-    for v, triple in enumerate(G.vertex_edge_triples()):
-        t = _vertex_tensor(v, triple, k)
-        check_budget(len(t.open_edges))
-        tensors.append(t)
+    for triple in G.vertex_edge_triples():
+        # A loop's label is summed inside its vertex tensor, so only edges
+        # that appear once in the triple stay open.
+        edges = tuple(e for e in sorted(set(triple)) if triple.count(e) == 1)
+        check_budget(len(edges))
+        tensors.append((edges, _vertex_tensor(len(edges), k, dtype)))
 
     while len(tensors) > 1:
         best = None
         for i in range(len(tensors)):
             for j in range(i + 1, len(tensors)):
-                shared = set(tensors[i].open_edges) & set(tensors[j].open_edges)
-                if not shared:
+                edges_i, edges_j = set(tensors[i][0]), set(tensors[j][0])
+                if not edges_i & edges_j:
                     continue
-                width = (
-                    len(set(tensors[i].open_edges) | set(tensors[j].open_edges))
-                    - len(shared)
-                )
-                cand = (width, i, j)
+                cand = (len(edges_i ^ edges_j), i, j)
                 if best is None or cand < best:
                     best = cand
         assert best is not None, "connected graph always leaves a sharing pair"
         width, i, j = best
         check_budget(width)
-        merged = _merge(tensors[i], tensors[j])
+        (edges_a, a), (edges_b, b) = tensors[i], tensors[j]
+        shared = [e for e in edges_a if e in edges_b]
+        axes = ([edges_a.index(e) for e in shared], [edges_b.index(e) for e in shared])
+        merged = np.tensordot(a, b, axes=axes)
         tensors = [t for idx, t in enumerate(tensors) if idx not in (i, j)]
-        tensors.append(merged)
+        tensors.append((tuple(e for e in edges_a + edges_b if e not in shared), merged))
 
-    final = tensors[0]
-    assert final.open_edges == ()
-    return final.entries.get((), 0)
+    edges, final = tensors[0]
+    assert edges == ()
+    return int(final)
 
 
 def weight_set_json_dict(G: TrinionGraph, k: int, labels: list[ThetaLabel]) -> dict:

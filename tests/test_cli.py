@@ -165,14 +165,6 @@ def test_check_trivial_level_zero(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_check_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    assert cli.worker_count() == 2
-    code, report, _ = run_json(capsys, "check", "--genus", "2", "--max-level", "2")
-    assert code == 0
-    assert all(c["passed"] for c in report["checks"])
-
-
 def test_check_reports_first_discrepancy(capsys, monkeypatch):
     # Sabotage one route to verify the failure contract: nonzero exit and a
     # first-discrepancy line on stderr.

@@ -2,8 +2,10 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
+from verlinde_lab import weights
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
     canonical_form,
@@ -167,8 +169,33 @@ def test_contraction_equals_bruteforce_all_desk_graphs(k):
             assert count_via_contraction(G, k) == count_admissible_bruteforce(G, k)
 
 
+@pytest.mark.parametrize("k", range(0, 7))
+def test_contraction_exact_path_equals_bruteforce(k, monkeypatch):
+    # Force the dtype=object path that levels with (k+1)^E >= 2^63 take.
+    monkeypatch.setattr(weights, "_contraction_dtype", lambda G, k: object)
+    for g in (2, 3):
+        for G in generate_genus_graphs(g):
+            count = count_via_contraction(G, k)
+            assert type(count) is int
+            assert count == count_admissible_bruteforce(G, k)
+
+
+def test_contraction_dtype_boundary():
+    # Genus 4 has E = 9 edges: 127^9 < 2^63 <= 128^9.
+    G = generate_genus_graphs(4)[0]
+    assert G.edge_count == 9
+    assert weights._contraction_dtype(G, 126) is np.int64
+    assert weights._contraction_dtype(G, 127) is object
+
+
 def test_contraction_theta_level_fifty_matches_verlinde():
     assert count_via_contraction(THETA, 50) == verlinde_dim(2, 50)
+
+
+def test_contraction_theta_level_two_hundred_matches_verlinde():
+    count = count_via_contraction(THETA, 200)
+    assert type(count) is int
+    assert count == verlinde_dim(2, 200)
 
 
 def test_contraction_level_zero():
@@ -176,7 +203,7 @@ def test_contraction_level_zero():
         assert count_via_contraction(G, 0) == 1
 
 
-@pytest.mark.parametrize("k", range(0, 7))
+@pytest.mark.parametrize("k", [*range(0, 7), 40])
 def test_graph_independence_and_verlinde_agreement(k):
     for g in (2, 3):
         counts = {count_via_contraction(G, k) for G in generate_genus_graphs(g)}
@@ -220,6 +247,12 @@ def test_fusion_move_invariance():
 def test_frontier_budget():
     with pytest.raises(FrontierBudgetExceeded, match="budget"):
         count_via_contraction(generate_genus_graphs(3)[0], 9, max_frontier=10)
+
+
+def test_frontier_budget_checked_before_allocation():
+    # A theta vertex tensor at k = 10^4 would need 10^12 cells.
+    with pytest.raises(FrontierBudgetExceeded, match=r"\(k\+1\)\^3"):
+        count_via_contraction(THETA, 10**4)
 
 
 def test_contraction_rejects_negative_level():
