@@ -153,6 +153,7 @@ def cmd_check(args) -> RunReport:
         "check", {"genus": args.genus, "max_level": args.max_level}
     )
     pairs = _graphs_for(args)
+    polytopes = {ident: polytope.build_polytope(G) for ident, G in pairs}
     levels = list(range(args.max_level + 1))
     first_discrepancy = None
     for k in levels:
@@ -190,8 +191,7 @@ def cmd_check(args) -> RunReport:
                         f"k={k} {ident}: brute={brute} contraction={counts[ident]}"
                     )
             if k >= 1:
-                P = polytope.build_polytope(G)
-                lat = polytope.lattice_count(P, G, k)
+                lat = polytope.lattice_count(polytopes[ident], G, k)
                 ok = lat == counts[ident]
                 report.add_check(
                     f"lattice-equals-contraction[k={k},{ident}]",

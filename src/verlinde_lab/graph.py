@@ -14,6 +14,7 @@ surface it came from is (V + 2)/2 and V = 2g - 2 is forced to be even.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -146,6 +147,36 @@ def _is_connected(pairing: tuple[int, ...]) -> bool:
 def genus(G: TrinionGraph) -> int:
     """Genus of the underlying surface: E - V + 1 = (V + 2)/2."""
     return G.genus
+
+
+def connected_edge_order(G: TrinionGraph) -> list[int]:
+    """Edge order in which every prefix spans a connected vertex set.
+
+    Breadth-first from vertex 0: a vertex's edges are appended as soon as the
+    vertex is dequeued, so every edge after the first shares an endpoint with
+    an earlier one and vertex conditions complete early in the order.  Both
+    counting routes that label edges one at a time (the brute-force DFS and
+    the lattice-point frontier) use it.
+    """
+    triples = G.vertex_edge_triples()
+    edges = G.edges
+    seen_vertices = {0}
+    order: list[int] = []
+    placed = set()
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for e in triples[v]:
+            if e in placed:
+                continue
+            placed.add(e)
+            order.append(e)
+            h1, h2 = edges[e]
+            for u in (h1 // 3, h2 // 3):
+                if u not in seen_vertices:
+                    seen_vertices.add(u)
+                    queue.append(u)
+    return order
 
 
 def _canonical_key(loops: list[int], mult: list[list[int]], V: int) -> tuple[int, ...]:

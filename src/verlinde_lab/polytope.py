@@ -10,6 +10,12 @@ rational arithmetic.
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity
 condition, so ``lattice_count`` must and does reproduce the weight counts.
+It counts them with a level-by-level numpy frontier of partial points along a
+connected edge order: at each coordinate the admitted labels of a partial
+point form an interval, cut to one parity class by the vertices that
+complete there, so the next frontier is a repeat of arithmetic progressions
+and the last coordinate is summed in closed form.  Frontiers are expanded
+depth-first in bounded slices, in int64 under a checked magnitude bound.
 The parity condition thins the full (1/k)-lattice by 2^r, r the GF(2) rank of
 the parity system, so the observed growth constant of the counts is
 volume / 2^r rather than the bare volume; ``asymptotic_table`` reports both.
@@ -23,7 +29,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from verlinde_lab.graph import TrinionGraph
+from verlinde_lab.graph import TrinionGraph, connected_edge_order
 from verlinde_lab.weights import count_via_contraction
 
 #: exact_volume is a recursive boundary integration; cap the dimension.
@@ -32,6 +38,12 @@ MAX_EXACT_DIMENSION = 6
 MIN_MC_SAMPLES = 10**3
 
 _MC_CHUNK = 65536
+
+#: lattice_count expands each frontier in slices of at most this many cells.
+_LATTICE_CHUNK = 65536
+
+#: lattice_count works in int64; integer rows must stay below this magnitude.
+_LATTICE_INT_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -236,11 +248,40 @@ def _integer_rows_for_level(P: ClebschGordanPolytope, k: int):
     return out
 
 
+def _parity_plan(G: TrinionGraph, order: list[int]):
+    """Per position t of ``order``: the parity constraint on the label there.
+
+    Returns (odd, even) lists.  ``odd[t]`` holds, for each vertex completing
+    at t whose edge order[t] enters its sum an odd number of times, the
+    earlier positions whose labels fix that label's parity.  ``even[t]``
+    holds, for each vertex completing at t through a loop on order[t], the
+    earlier positions whose label sum must be even whatever the label.
+    """
+    pos = {e: t for t, e in enumerate(order)}
+    odd: list[list[list[int]]] = [[] for _ in order]
+    even: list[list[list[int]]] = [[] for _ in order]
+    for triple in G.vertex_edge_triples():
+        t = max(pos[e] for e in triple)
+        rest = [pos[e] for e in triple if pos[e] != t]
+        (odd if len(rest) % 2 == 0 else even)[t].append(rest)
+    return odd, even
+
+
 def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     """Points of (1/k)Z^dim in P whose labels j = k*c satisfy vertex parity.
 
     This is the polytope-side route to the weight count: only the
-    H-representation and the parity condition are consulted.
+    H-representation and the parity condition are consulted.  Labels are
+    fixed one coordinate at a time along ``connected_edge_order(G)``, for a
+    whole frontier of partial points at once.  At coordinate t the labels a
+    partial point admits form an interval, read from the rows with a nonzero
+    coefficient at t and the least the later coordinates in [0, k] can add
+    to each row; the vertices completing at t cut it to one parity class.
+    The next frontier repeats each partial point once per admitted label,
+    and the last coordinate is counted, not materialised.  Frontiers are
+    expanded depth-first in slices of at most ``_LATTICE_CHUNK`` label cells,
+    so memory stays bounded at any level and genus.  Arithmetic is int64;
+    rows whose magnitude could reach 2^62 raise ValueError before counting.
     """
     if k < 1:
         raise ValueError("level must be at least 1")
@@ -248,40 +289,88 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     if d != G.edge_count:
         raise ValueError("polytope dimension does not match the graph's edge count")
     rows = _integer_rows_for_level(P, k)
-    # Minimum achievable remaining contribution per row from coordinates >= t.
-    min_rest = [[0] * (d + 1) for _ in rows]
-    for r, (ia, _) in enumerate(rows):
-        for t in range(d - 1, -1, -1):
-            min_rest[r][t] = min_rest[r][t + 1] + min(0, ia[t] * k)
-    triples = G.vertex_edge_triples()
-    vertex_done_at = [max(tr) for tr in triples]
-    labels = [0] * d
-    count = 0
+    magnitude = max(
+        (sum(abs(c) for c in ia) * k + abs(ib) for ia, ib in rows), default=0
+    )
+    if magnitude >= _LATTICE_INT_LIMIT:
+        raise ValueError(
+            f"integer rows at level {k} reach magnitude {magnitude}, past the "
+            "int64 working limit 2^62; lattice_count cannot count exactly"
+        )
+    # A row with no coefficients never bounds a coordinate; check it once.
+    if any(ib < 0 for ia, ib in rows if not any(ia)):
+        return 0
+    rows = [(ia, ib) for ia, ib in rows if any(ia)]
+    order = connected_edge_order(G)
+    A = np.array([[ia[e] for e in order] for ia, _ in rows], dtype=np.int64)
+    A = A.reshape(-1, d)
+    B = np.array([ib for _, ib in rows], dtype=np.int64)
+    # min_rest[:, t]: least contribution of the coordinates at positions >= t.
+    min_rest = np.zeros((len(rows), d + 1), dtype=np.int64)
+    min_rest[:, :d] = np.cumsum(np.minimum(A, 0)[:, ::-1] * k, axis=1)[:, ::-1]
+    odd, even = _parity_plan(G, order)
+    plan = []
+    for t in range(d):
+        r = np.flatnonzero(A[:, t])
+        plan.append((A[r, :t].T, B[r] - min_rest[r, t + 1], A[r, t]))
 
-    def rec(t: int, partial: list[int]):
-        nonlocal count
-        if t == d:
-            count += 1
-            return
-        for j in range(k + 1):
-            labels[t] = j
-            new_partial = [p + ia[t] * j for p, (ia, _) in zip(partial, rows)]
-            ok = all(
-                p + min_rest[r][t + 1] <= rows[r][1]
-                for r, p in enumerate(new_partial)
-            )
-            if ok:
-                for v, done in enumerate(vertex_done_at):
-                    if done == t:
-                        e1, e2, e3 = triples[v]
-                        if (labels[e1] + labels[e2] + labels[e3]) % 2 != 0:
-                            ok = False
-                            break
-            if ok:
-                rec(t + 1, new_partial)
+    def admitted(t: int, labels):
+        """First admitted label, step and count at position t per partial point."""
+        A_prev, bound, coef = plan[t]
+        n = labels.shape[0]
+        lo = np.zeros(n, dtype=np.int64)
+        hi = np.full(n, k, dtype=np.int64)
+        if coef.size:
+            slack = bound - labels @ A_prev
+            up, down = coef > 0, coef < 0
+            if up.any():
+                hi = np.minimum(hi, (slack[:, up] // coef[up]).min(axis=1))
+            if down.any():
+                lo = np.maximum(lo, (-(slack[:, down] // -coef[down])).max(axis=1))
+        step = 1
+        if odd[t] or even[t]:
+            ok = np.ones(n, dtype=bool)
+            for rest in even[t]:
+                ok &= labels[:, rest].sum(axis=1) % 2 == 0
+            want = None
+            for rest in odd[t]:
+                p = labels[:, rest].sum(axis=1) % 2
+                if want is None:
+                    want = p
+                else:
+                    ok &= p == want
+            if want is not None:
+                lo = lo + (lo + want) % 2
+                step = 2
+            hi = np.where(ok, hi, lo - 1)
+        cnt = np.maximum(hi - lo, -step) // step + 1
+        return lo, step, cnt
 
-    rec(0, [0] * len(rows))
-    return count
+    def expand(t: int, labels) -> int:
+        lo, step, cnt = admitted(t, labels)
+        if t == d - 1:
+            return int(cnt.sum())
+        total = 0
+        ends = np.cumsum(cnt)
+        budget = max(_LATTICE_CHUNK // (t + 1), 1)
+        start = 0
+        while start < len(cnt):
+            base = ends[start - 1] if start else 0
+            stop = int(np.searchsorted(ends, base + budget, side="right"))
+            stop = max(stop, start + 1)
+            c = cnt[start:stop]
+            parent = np.repeat(np.arange(start, stop), c)
+            if parent.size:
+                # Rank of each child among its parent's admitted labels.
+                offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
+                child = np.empty((parent.size, t + 1), dtype=np.int64)
+                child[:, :t] = labels[parent]
+                child[:, t] = lo[parent] + step * offset
+                total += expand(t + 1, child)
+            start = stop
+        return total
+
+    return expand(0, np.zeros((1, 0), dtype=np.int64))
 
 
 def parity_rank(G: TrinionGraph) -> int:

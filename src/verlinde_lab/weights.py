@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from verlinde_lab.graph import TrinionGraph
+from verlinde_lab.graph import TrinionGraph, connected_edge_order
 
 #: Enumeration refuses when the raw label space (k+1)^E exceeds this.
 DEFAULT_MAX_STATES = 10**7
@@ -118,31 +118,6 @@ def _check_state_budget(G: TrinionGraph, k: int, max_states: int) -> None:
         )
 
 
-def _bfs_edge_order(G: TrinionGraph) -> list[int]:
-    """Edge order in which every prefix spans a connected vertex set."""
-    triples = G.vertex_edge_triples()
-    seen_vertices = {0}
-    order: list[int] = []
-    placed = set()
-    frontier = [0]
-    # Edges of each discovered vertex are appended as soon as the vertex is
-    # reached, so when an edge is assigned at least one endpoint is fresh in
-    # label-count terms and the two-label prune below fires early.
-    while frontier:
-        v = frontier.pop(0)
-        for e in triples[v]:
-            if e in placed:
-                continue
-            placed.add(e)
-            order.append(e)
-            h1, h2 = G.edges[e]
-            for u in (h1 // 3, h2 // 3):
-                if u not in seen_vertices:
-                    seen_vertices.add(u)
-                    frontier.append(u)
-    return order
-
-
 def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
     """Depth-first enumeration with per-vertex pruning.
 
@@ -151,27 +126,23 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
     """
     _check_state_budget(G, k, max_states)
     E = G.edge_count
-    triples = G.vertex_edge_triples()
-    order = _bfs_edge_order(G)
+    order = connected_edge_order(G)
     pos = {e: t for t, e in enumerate(order)}
-    endpoints = [
-        tuple(sorted({h1 // 3, h2 // 3})) for h1, h2 in G.edges
-    ]
+    # Per depth t, the vertices whose last label is order[t] (checked in
+    # full) and those whose second label is order[t] (checked as a pair: no
+    # third label in [0, k] repairs a pair sum above 2k or a gap above k).
+    # A loop's pair (l, l) always passes and is left out.
+    full_at: list[list[tuple[int, int, int]]] = [[] for _ in range(E)]
+    pair_at: list[list[tuple[int, int]]] = [[] for _ in range(E)]
+    for triple in G.vertex_edge_triples():
+        first, second, last = sorted(triple, key=pos.__getitem__)
+        full_at[pos[last]].append(triple)
+        if pos[second] < pos[last] and first != second:
+            pair_at[pos[second]].append((first, second))
     labels = [0] * E
     found: list[tuple[int, ...]] = []
     count = 0
-
-    def feasible_after(e: int, t: int) -> bool:
-        for v in endpoints[e]:
-            vals = [labels[ei] for ei in triples[v] if pos[ei] <= t]
-            if len(vals) == 3:
-                if not vertex_conditions_hold(k, tuple(vals)):
-                    return False
-            elif len(vals) == 2:
-                # No third label in [0, k] can repair these violations.
-                if vals[0] + vals[1] > 2 * k or abs(vals[0] - vals[1]) > k:
-                    return False
-        return True
+    two_k = 2 * k
 
     def rec(t: int):
         nonlocal count
@@ -181,10 +152,22 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
                 found.append(tuple(labels))
             return
         e = order[t]
+        pairs, fulls = pair_at[t], full_at[t]
         for j in range(k + 1):
             labels[e] = j
-            if feasible_after(e, t):
-                rec(t + 1)
+            # Plain loops with for/else: a break marks j infeasible.
+            for a, b in pairs:
+                x, y = labels[a], labels[b]
+                if x + y > two_k or x - y > k or y - x > k:
+                    break
+            else:
+                for a, b, c in fulls:
+                    x, y, z = labels[a], labels[b], labels[c]
+                    s = x + y + z
+                    if s & 1 or s > two_k or x + x > s or y + y > s or z + z > s:
+                        break
+                else:
+                    rec(t + 1)
         labels[e] = 0
 
     rec(0)

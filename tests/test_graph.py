@@ -9,6 +9,7 @@ from verlinde_lab.graph import (
     TrinionGraph,
     canonical_form,
     class_name,
+    connected_edge_order,
     dumbbell_graph,
     from_json_dict,
     fusion_move,
@@ -231,6 +232,26 @@ def test_generate_class_counts_frozen():
     assert len(generate_genus_graphs(2)) == 2
     assert len(generate_genus_graphs(3)) == 5
     assert len(generate_genus_graphs(4)) == 17
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_connected_edge_order(g):
+    for G in generate_genus_graphs(g):
+        order = connected_edge_order(G)
+        assert sorted(order) == list(range(G.edge_count))
+        ends = [(h // 3, q // 3) for h, q in G.edges]
+        for n in range(1, len(order) + 1):
+            prefix = [ends[e] for e in order[:n]]
+            touched = {v for pair in prefix for v in pair}
+            reached = {prefix[0][0]}
+            grown = True
+            while grown:
+                grown = False
+                for a, b in prefix:
+                    if (a in reached) != (b in reached):
+                        reached |= {a, b}
+                        grown = True
+            assert reached == touched, (G, n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from verlinde_lab import polytope
 from verlinde_lab.graph import dumbbell_graph, generate_genus_graphs, theta_graph
 from verlinde_lab.polytope import (
     ClebschGordanPolytope,
@@ -20,7 +21,11 @@ from verlinde_lab.polytope import (
     table_to_csv,
     to_json_dict,
 )
-from verlinde_lab.weights import count_admissible_bruteforce, enumerate_admissible
+from verlinde_lab.weights import (
+    count_admissible_bruteforce,
+    count_via_contraction,
+    enumerate_admissible,
+)
 
 THETA = theta_graph()
 DUMBBELL = dumbbell_graph()
@@ -252,6 +257,92 @@ def test_lattice_count_equals_weight_count(k):
 def test_lattice_count_requires_positive_level():
     with pytest.raises(ValueError):
         lattice_count(build_polytope(THETA), THETA, 0)
+
+
+@pytest.mark.parametrize("g,k_max", [(3, 10), (4, 4)])
+def test_lattice_count_equals_contraction(g, k_max):
+    for G in generate_genus_graphs(g):
+        P = build_polytope(G)
+        for k in range(1, k_max + 1):
+            assert lattice_count(P, G, k) == count_via_contraction(G, k), (G, k)
+
+
+def test_lattice_count_sliced_frontier(monkeypatch):
+    cases = [
+        (G, build_polytope(G), k)
+        for g in (2, 3)
+        for G in generate_genus_graphs(g)
+        for k in range(1, 7)
+    ]
+    expected = [lattice_count(P, G, k) for G, P, k in cases]
+    monkeypatch.setattr(polytope, "_LATTICE_CHUNK", 1)
+    assert [lattice_count(P, G, k) for G, P, k in cases] == expected
+
+
+def test_lattice_count_independent_of_row_order_and_json():
+    rng = random.Random(11)
+    for G in (THETA, DUMBBELL, *generate_genus_graphs(3)):
+        P = build_polytope(G)
+        expected = [lattice_count(P, G, k) for k in (1, 4, 7)]
+        rows = list(P.ineqs)
+        rng.shuffle(rows)
+        for Q in (
+            ClebschGordanPolytope(P.dim, tuple(rows)),
+            from_json_dict(to_json_dict(P)),
+        ):
+            assert [lattice_count(Q, G, k) for k in (1, 4, 7)] == expected
+
+
+def test_lattice_count_reads_the_polytope():
+    # Dropping any one cap row admits points the cap excluded, so the count
+    # rises: the route takes its constraints from P, not from the graph.
+    for g in (2, 3):
+        for G in generate_genus_graphs(g):
+            P = build_polytope(G)
+            base = lattice_count(P, G, 2)
+            caps = [i for i, (_, b) in enumerate(P.ineqs) if b == 2]
+            assert caps
+            for i in caps:
+                Q = ClebschGordanPolytope(P.dim, P.ineqs[:i] + P.ineqs[i + 1 :])
+                assert lattice_count(Q, G, 2) > base
+
+
+def test_lattice_count_int64_guard():
+    # The redundant row c_0 / 2^61 <= 1 scales to integer rows of magnitude
+    # 1 + 2^61 * k: below the 2^62 working limit at k = 1, at it for k = 2.
+    data = to_json_dict(build_polytope(THETA))
+    data["ineqs"].append([f"1/{2**61}", "0", "0", "1"])
+    P = from_json_dict(data)
+    assert lattice_count(P, THETA, 1) == 4
+    with pytest.raises(ValueError, match="2\\^62"):
+        lattice_count(P, THETA, 2)
+
+
+def _lattice_oracle(P: ClebschGordanPolytope, G, k: int) -> int:
+    """Every label vector in [0, k]^dim, tested exactly with ``contains``."""
+    triples = G.vertex_edge_triples()
+    count = 0
+    for labels in product(range(k + 1), repeat=P.dim):
+        if any((labels[a] + labels[b] + labels[c]) % 2 for a, b, c in triples):
+            continue
+        count += contains(P, tuple(Fraction(j, k) for j in labels))
+    return count
+
+
+def test_lattice_count_rational_cuts_match_oracle():
+    # Cuts with coefficients other than +-1 and +-2 make the interval bounds
+    # round: c_0 >= 1/3 needs ceil division, c_1 <= 2/3 + c_2/5 floor.
+    f = Fraction
+    for G, k_max in ((THETA, 7), (DUMBBELL, 7), (generate_genus_graphs(3)[2], 3)):
+        P = build_polytope(G)
+        d = P.dim
+        cuts = (
+            (tuple(f(-3) if i == 0 else f(0) for i in range(d)), f(-1)),
+            (tuple({1: f(1), 2: f(-1, 5)}.get(i, f(0)) for i in range(d)), f(2, 3)),
+        )
+        Q = ClebschGordanPolytope(d, P.ineqs + cuts)
+        for k in range(1, k_max + 1):
+            assert lattice_count(Q, G, k) == _lattice_oracle(Q, G, k), (G, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
