@@ -332,15 +332,11 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
             ok = np.ones(n, dtype=bool)
             for rest in even[t]:
                 ok &= labels[:, rest].sum(axis=1) % 2 == 0
-            want = None
-            for rest in odd[t]:
-                p = labels[:, rest].sum(axis=1) % 2
-                if want is None:
-                    want = p
-                else:
-                    ok &= p == want
-            if want is not None:
-                lo = lo + (lo + want) % 2
+            parity = [labels[:, rest].sum(axis=1) % 2 for rest in odd[t]]
+            for p in parity[1:]:
+                ok &= p == parity[0]
+            if parity:
+                lo = lo + (lo + parity[0]) % 2
                 step = 2
             hi = np.where(ok, hi, lo - 1)
         cnt = np.maximum(hi - lo, -step) // step + 1
