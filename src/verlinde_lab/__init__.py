@@ -20,7 +20,6 @@ from verlinde_lab.graph import (
     dumbbell_graph,
     fusion_move,
     generate_genus_graphs,
-    genus,
     theta_graph,
 )
 from verlinde_lab.weights import (
@@ -28,7 +27,6 @@ from verlinde_lab.weights import (
     count_via_contraction,
     enumerate_admissible,
     is_admissible,
-    theta_basis,
 )
 from verlinde_lab.polytope import (
     asymptotic_table,
@@ -62,12 +60,10 @@ __all__ = [
     "fusion_move",
     "fusion_product",
     "generate_genus_graphs",
-    "genus",
     "gft_intersection_count",
     "is_admissible",
     "lattice_count",
     "mc_volume",
-    "theta_basis",
     "theta_graph",
     "translate_label",
     "verlinde_dim",

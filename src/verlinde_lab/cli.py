@@ -221,10 +221,11 @@ def cmd_polytope(args) -> RunReport:
     if args.mode == "volume-exact":
         volumes = []
         for ident, G in pairs:
-            vol = polytope.exact_volume(polytope.build_polytope(G))
+            stats: dict = {}
+            vol = polytope.exact_volume(polytope.build_polytope(G), stats)
             volumes.append(vol)
             report.outputs.setdefault("volumes", []).append(
-                {"graph": ident, "volume": str(vol)}
+                {"graph": ident, "volume": str(vol), **stats}
             )
         if len(pairs) > 1:
             report.add_check(

@@ -144,11 +144,6 @@ def _is_connected(pairing: tuple[int, ...]) -> bool:
     return len(seen) == V
 
 
-def genus(G: TrinionGraph) -> int:
-    """Genus of the underlying surface: E - V + 1 = (V + 2)/2."""
-    return G.genus
-
-
 def connected_edge_order(G: TrinionGraph) -> list[int]:
     """Edge order in which every prefix spans a connected vertex set.
 

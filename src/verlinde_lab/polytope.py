@@ -4,8 +4,9 @@ The polytope lives in [0,1]^E with one coordinate c_e per edge (c = j/k on
 the weight lattice).  Each vertex with incident labels (c_a, c_b, c_c) --
 loops doubled -- contributes the three triangle inequalities c_x <= c_y + c_z
 and the cap c_a + c_b + c_c <= 2; together with the box constraints this is
-the full H-representation.  Everything except Monte Carlo sampling is exact
-rational arithmetic.
+the full H-representation.  Everything except Monte Carlo sampling is exact:
+``exact_volume`` integrates over facets on primitive integer rows, pruning
+the faces that opposite rows pin into a slab of zero width.
 
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity
@@ -102,112 +103,121 @@ def contains(P: ClebschGordanPolytope, point: tuple[Fraction, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact volume: recursive facet integration
+# Exact volume: recursive facet integration on primitive integer rows
 # ---------------------------------------------------------------------------
 #
 # For P = {x : a_i . x <= b_i} the divergence theorem with the field x/d gives
 #   vol_d(P) = (1/d) * sum_i (b_i / |a_i|) vol_{d-1}(F_i),
-# and eliminating one coordinate on the facet hyperplane turns each term into
-# the purely rational  (1/d) * b_i * vol_{d-1}(P_i) / |a_{i,j}|  where P_i is
-# the substituted (d-1)-dimensional system.  Sub-systems are canonicalized
-# (primitive integer rows, sorted, one row per direction) and memoized, so
-# equal faces reached along different facet chains are computed once and the
-# result is independent of the input row order.
+# and eliminating the pivot coordinate p on the facet hyperplane turns each
+# term into  (1/d) * b_i * vol_{d-1}(P_i) / |a_{i,p}|  where P_i is the
+# substituted (d-1)-dimensional system.  Rows stay integers: elimination
+# scales a row by |a_{i,p}| > 0 before subtracting the facet row, and
+# normalisation divides by the gcd, so Fractions hold only the volumes and
+# the ends of 1-D intervals.  Normalised systems (the tightest primitive row
+# per direction, sorted) are memoized, so equal faces reached along different
+# facet chains are computed once, independent of the input row order.  A
+# system with opposite rows u.x <= s and -u.x <= t, s + t <= 0, lies in a slab
+# of zero width or is empty: its volume is exactly 0 and it is not recursed
+# into.  Most faces of the moment polytopes are such slabs.
 
 
-def _normalize_rows(rows) -> tuple:
-    """Canonical row set: primitive integer rows, min bound per direction, sorted.
-
-    Returns None if a trivially infeasible row 0 <= b < 0 is present.
-    """
-    by_dir: dict = {}
-    for a, b in rows:
-        scale = lcm(*(f.denominator for f in (*a, b)))
-        ia = tuple(int(f * scale) for f in a)
-        ib = int(b * scale)
-        if all(c == 0 for c in ia):
-            if ib < 0:
-                return None
-            continue
-        g = gcd(ib, *(abs(c) for c in ia))
-        if g > 1:
-            ia = tuple(c // g for c in ia)
-            ib //= g
-        if ia not in by_dir or ib < by_dir[ia]:
-            by_dir[ia] = ib
-    return tuple(sorted((a, b) for a, b in by_dir.items()))
-
-
-def _interval_length(rows) -> Fraction:
-    lo, hi = None, None
-    for (a,), b in rows:
-        bound = Fraction(b, a)
-        if a > 0:
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None or hi is None:
-        raise ValueError("polytope is unbounded")
-    return max(Fraction(0), hi - lo)
-
-
-def _substitute(rows, facet_row, pivot: int):
-    """Eliminate coordinate ``pivot`` using equality on ``facet_row``."""
-    fa, fb = facet_row
-    piv = Fraction(fa[pivot])
+def _integer_rows(P: ClebschGordanPolytope):
+    """P's rows (a, b), each scaled by the lcm of its denominators to integers."""
     out = []
-    for a, b in rows:
-        if (a, b) == facet_row:
-            continue
-        cj = Fraction(a[pivot])
-        if cj == 0:
-            na = tuple(Fraction(c) for i, c in enumerate(a) if i != pivot)
-            nb = Fraction(b)
-        else:
-            ratio = cj / piv
-            na = tuple(
-                Fraction(a[i]) - ratio * fa[i] for i in range(len(a)) if i != pivot
-            )
-            nb = Fraction(b) - ratio * fb
-        out.append((na, nb))
+    for a, b in P.ineqs:
+        scale = lcm(*(f.denominator for f in (*a, b)))
+        out.append((tuple(int(f * scale) for f in a), int(b * scale)))
     return out
 
 
-def _volume_rec(d: int, rows, memo) -> Fraction:
-    if rows is None:
-        return Fraction(0)
-    if d == 0:
-        return Fraction(1)
-    if d == 1:
-        return _interval_length(rows)
-    cached = memo.get((d, rows))
-    if cached is not None:
-        return cached
-    total = Fraction(0)
+def _normalize_rows(rows) -> tuple | None:
+    """Canonical system: primitive integer rows, the tightest per direction, sorted.
+
+    Returns None, volume 0, for a row 0 <= b < 0 or a zero-width or empty slab.
+    """
+    by_dir: dict = {}
     for a, b in rows:
-        if b == 0:
-            continue  # facet hyperplane through the origin contributes b * (...) = 0
-        pivot = max(range(d), key=lambda i: (abs(a[i]), -i))
-        if a[pivot] == 0:
+        m = gcd(*a)
+        if m == 0:
+            if b < 0:
+                return None
             continue
-        sub = _normalize_rows(_substitute(rows, (a, b), pivot))
-        sub_vol = _volume_rec(d - 1, sub, memo)
-        if sub_vol:
-            total += Fraction(b) * sub_vol / abs(a[pivot])
-    result = total / d
-    memo[(d, rows)] = result
-    return result
+        # The row reads u.x <= b/m along the primitive direction u.
+        u = tuple([c // m for c in a])
+        kept = by_dir.get(u)
+        if kept is None or b * kept[1] < kept[0] * m:
+            opposite = by_dir.get(tuple([-c for c in u]))
+            if opposite is not None and b * opposite[1] + opposite[0] * m <= 0:
+                return None
+            by_dir[u] = (b, m)
+    out = []
+    for u, (b, m) in by_dir.items():
+        g = gcd(b, m)
+        out.append((tuple(c * (m // g) for c in u), b // g))
+    return tuple(sorted(out))
 
 
-def exact_volume(P: ClebschGordanPolytope) -> Fraction:
-    """Exact Euclidean volume; 0 for degenerate (lower-dimensional) input."""
+def _interval_length(rows) -> Fraction:
+    """Length of a normalised 1-D system; normalisation pruned the empty ones."""
+    if len(rows) != 2:
+        raise ValueError("polytope is unbounded")
+    ((lo_a,), lo_b), ((hi_a,), hi_b) = rows
+    return Fraction(hi_b, hi_a) + Fraction(lo_b, -lo_a)
+
+
+def _substitute(rows, facet_row, pivot: int):
+    """Eliminate coordinate ``pivot`` using equality on ``facet_row``.
+
+    Each other row is scaled by |f_p| > 0 and sign(f_p) * a_p facet rows are
+    subtracted, so the rows stay integral and the inequalities keep their sense.
+    """
+    fa, fb = facet_row
+    scale, sign = abs(fa[pivot]), (1 if fa[pivot] > 0 else -1)
+    for a, b in rows:
+        if (a, b) != facet_row:
+            c = sign * a[pivot]
+            na = [scale * x - c * y for x, y in zip(a, fa)]
+            del na[pivot]
+            yield tuple(na), scale * b - c * fb
+
+
+def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fraction:
+    """Exact Euclidean volume; 0 for degenerate (lower-dimensional) input.
+
+    A ``stats`` dict, if given, receives ``memo_entries``, the faces
+    integrated, and ``faces_pruned``, the empty or zero-width faces that
+    normalisation set to 0 without recursing.
+    """
     if P.dim > MAX_EXACT_DIMENSION:
         raise ValueError(
             f"exact_volume supports dimension <= {MAX_EXACT_DIMENSION} "
             f"(got {P.dim}); use mc_volume"
         )
-    rows = _normalize_rows(P.ineqs)
-    return _volume_rec(P.dim, rows, {})
+    memo: dict = {}
+    pruned = 0
+
+    def volume(d: int, rows) -> Fraction:
+        nonlocal pruned
+        if rows is None:
+            pruned += 1
+            return Fraction(0)
+        if d <= 1:
+            return _interval_length(rows) if d else Fraction(1)
+        if (d, rows) not in memo:
+            total = Fraction(0)
+            for a, b in rows:
+                if b:  # a facet hyperplane through the origin contributes 0
+                    pivot = max(range(d), key=lambda i: (abs(a[i]), -i))
+                    sub = _normalize_rows(_substitute(rows, (a, b), pivot))
+                    total += b * volume(d - 1, sub) / abs(a[pivot])
+            memo[d, rows] = total / d
+        return memo[d, rows]
+
+    result = volume(P.dim, _normalize_rows(_integer_rows(P)))
+    if stats is not None:
+        stats["memo_entries"] = len(memo)
+        stats["faces_pruned"] = pruned
+    return result
 
 
 def mc_volume(
@@ -237,17 +247,6 @@ def mc_volume(
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows_for_level(P: ClebschGordanPolytope, k: int):
-    """Rows (A, B) with A . j <= B over the integer labels j = k*c."""
-    out = []
-    for a, b in P.ineqs:
-        scale = lcm(*(f.denominator for f in (*a, b)))
-        ia = [int(f * scale) for f in a]
-        ib = int(b * scale) * k
-        out.append((ia, ib))
-    return out
-
-
 def _parity_plan(G: TrinionGraph, order: list[int]):
     """Per position t of ``order``: the parity constraint on the label there.
 
@@ -273,10 +272,13 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     This is the polytope-side route to the weight count: only the
     H-representation and the parity condition are consulted.  Labels are
     fixed one coordinate at a time along ``connected_edge_order(G)``, for a
-    whole frontier of partial points at once.  At coordinate t the labels a
-    partial point admits form an interval, read from the rows with a nonzero
-    coefficient at t and the least the later coordinates in [0, k] can add
-    to each row; the vertices completing at t cut it to one parity class.
+    whole frontier of partial points at once.  Each coordinate's labels lie
+    in the box that P's single-coordinate rows give it; a coordinate without
+    both a lower and an upper such row raises ValueError.  At coordinate t
+    the labels a partial point admits form an interval, read from the rows
+    with a nonzero coefficient at t and the least the later coordinates can
+    add to each row within their boxes; the vertices completing at t cut it
+    to one parity class.
     The next frontier repeats each partial point once per admitted label,
     and the last coordinate is counted, not materialised.  Frontiers are
     expanded depth-first in slices of at most ``_LATTICE_CHUNK`` label cells,
@@ -288,9 +290,31 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     d = P.dim
     if d != G.edge_count:
         raise ValueError("polytope dimension does not match the graph's edge count")
-    rows = _integer_rows_for_level(P, k)
+    # Rows A . j <= B over the integer labels j = k*c.
+    rows = [(ia, ib * k) for ia, ib in _integer_rows(P)]
+    # Each coordinate's label box, from the rows that bound it alone.
+    lows: list[list[int]] = [[] for _ in range(d)]
+    highs: list[list[int]] = [[] for _ in range(d)]
+    for ia, ib in rows:
+        support = [e for e in range(d) if ia[e]]
+        if len(support) == 1:
+            c = ia[support[0]]
+            if c > 0:
+                highs[support[0]].append(ib // c)
+            else:
+                lows[support[0]].append(-(ib // -c))
+    for e in range(d):
+        if not lows[e] or not highs[e]:
+            raise ValueError(
+                f"coordinate {e} has no lower or no upper single-coordinate row; "
+                "lattice_count reads each label box from those rows"
+            )
+    box_lo = [max(v) for v in lows]
+    box_hi = [min(v) for v in highs]
+    reach = [max(abs(lo), abs(hi)) for lo, hi in zip(box_lo, box_hi)]
     magnitude = max(
-        (sum(abs(c) for c in ia) * k + abs(ib) for ia, ib in rows), default=0
+        (sum(abs(c) * m for c, m in zip(ia, reach)) + abs(ib) for ia, ib in rows),
+        default=0,
     )
     if magnitude >= _LATTICE_INT_LIMIT:
         raise ValueError(
@@ -307,7 +331,10 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     B = np.array([ib for _, ib in rows], dtype=np.int64)
     # min_rest[:, t]: least contribution of the coordinates at positions >= t.
     min_rest = np.zeros((len(rows), d + 1), dtype=np.int64)
-    min_rest[:, :d] = np.cumsum(np.minimum(A, 0)[:, ::-1] * k, axis=1)[:, ::-1]
+    lo_t = np.array([box_lo[e] for e in order], dtype=np.int64)
+    hi_t = np.array([box_hi[e] for e in order], dtype=np.int64)
+    least = np.minimum(A * lo_t, A * hi_t)
+    min_rest[:, :d] = np.cumsum(least[:, ::-1], axis=1)[:, ::-1]
     odd, even = _parity_plan(G, order)
     plan = []
     for t in range(d):
@@ -318,8 +345,8 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
         """First admitted label, step and count at position t per partial point."""
         A_prev, bound, coef = plan[t]
         n = labels.shape[0]
-        lo = np.zeros(n, dtype=np.int64)
-        hi = np.full(n, k, dtype=np.int64)
+        lo = np.full(n, lo_t[t], dtype=np.int64)
+        hi = np.full(n, hi_t[t], dtype=np.int64)
         if coef.size:
             slack = bound - labels @ A_prev
             up, down = coef > 0, coef < 0

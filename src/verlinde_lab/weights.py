@@ -196,13 +196,6 @@ def count_admissible_bruteforce(
     return count
 
 
-def theta_basis(
-    G: TrinionGraph, k: int, max_states: int = DEFAULT_MAX_STATES
-) -> list[ThetaLabel]:
-    """The canonical index set of the theta basis: the admissible labels."""
-    return enumerate_admissible(G, k, max_states=max_states)
-
-
 # ---------------------------------------------------------------------------
 # Fast counting by tensor contraction
 # ---------------------------------------------------------------------------

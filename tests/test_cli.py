@@ -196,6 +196,11 @@ def test_polytope_volume_exact(capsys):
     assert [v["volume"] for v in report["outputs"]["volumes"]] == ["1/3", "1/3"]
     assert report["checks"][0]["name"] == "volume-identical-across-genus"
     assert report["checks"][0]["passed"]
+    for entry in report["outputs"]["volumes"]:
+        assert entry["memo_entries"] > 0 and entry["faces_pruned"] >= 0
+    # The work counters are deterministic, so two reports diff clean.
+    _, again, _ = run_json(capsys, "polytope", "--genus", "2", "--mode", "volume-exact")
+    assert again["outputs"] == report["outputs"]
 
 
 def test_polytope_volume_mc_reproducible(capsys):

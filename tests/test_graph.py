@@ -14,7 +14,6 @@ from verlinde_lab.graph import (
     from_json_dict,
     fusion_move,
     generate_genus_graphs,
-    genus,
     graph_from_canonical,
     graph_json_bytes,
     load_graph,
@@ -41,15 +40,15 @@ def k4_graph() -> TrinionGraph:
 
 
 def test_genus_theta():
-    assert genus(theta_graph()) == 2
+    assert theta_graph().genus == 2
 
 
 def test_genus_dumbbell():
-    assert genus(dumbbell_graph()) == 2
+    assert dumbbell_graph().genus == 2
 
 
 def test_genus_k4():
-    assert genus(k4_graph()) == 3
+    assert k4_graph().genus == 3
 
 
 def test_loop_counts():

@@ -129,37 +129,47 @@ def test_volume_dumbbell():
     assert exact_volume(build_polytope(DUMBBELL)) == Fraction(1, 3)
 
 
-def _hull_volume(P: ClebschGordanPolytope) -> float:
-    """Independent oracle: exact vertex enumeration, then Qhull triangulation."""
-    from scipy.spatial import ConvexHull
+def _reduce(mat: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan over the rationals, in place; returns the pivot columns."""
+    cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        cols.append(c)
+        r += 1
+    return cols
 
+
+def _vertices(P: ClebschGordanPolytope) -> set[tuple[Fraction, ...]]:
+    """Exact vertex enumeration: every feasible intersection of d rows."""
     d = P.dim
     vertices = set()
     for rows in combinations(P.ineqs, d):
         mat = [[Fraction(a[i]) for i in range(d)] + [Fraction(b)] for a, b in rows]
-        # Gauss-Jordan over the rationals.
-        cols = []
-        r = 0
-        for c in range(d):
-            piv = next((i for i in range(r, d) if mat[i][c] != 0), None)
-            if piv is None:
-                continue
-            mat[r], mat[piv] = mat[piv], mat[r]
-            mat[r] = [x / mat[r][c] for x in mat[r]]
-            for i in range(d):
-                if i != r and mat[i][c] != 0:
-                    f = mat[i][c]
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-            cols.append(c)
-            r += 1
-        if r < d:
+        cols = _reduce(mat, d)
+        if len(cols) < d:
             continue
         point = [Fraction(0)] * d
         for i, c in enumerate(cols):
             point[c] = mat[i][d]
         if contains(P, tuple(point)):
             vertices.add(tuple(point))
-    pts = [[float(x) for x in v] for v in vertices]
+    return vertices
+
+
+def _hull_volume(P: ClebschGordanPolytope) -> float:
+    """Independent oracle: exact vertex enumeration, then Qhull triangulation."""
+    from scipy.spatial import ConvexHull
+
+    pts = [[float(x) for x in v] for v in _vertices(P)]
     return ConvexHull(pts).volume
 
 
@@ -193,6 +203,69 @@ def test_volume_empty_is_zero():
     rows = list(_box(2).ineqs)
     rows.append((tuple(Fraction(x) for x in (-1, 0)), Fraction(-2)))  # x >= 2
     assert exact_volume(ClebschGordanPolytope(2, tuple(rows))) == 0
+
+
+def _random_polytope(rng: random.Random, d: int) -> ClebschGordanPolytope:
+    """The unit box, random rational cuts, and some opposite row pairs that
+    leave a slab of positive, zero or negative width; rows shuffled."""
+    f = Fraction
+    rows = list(_box(d).ineqs)
+    for _ in range(rng.randint(1, 3)):
+        a = tuple(f(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+        b = f(rng.randint(-1, 4), rng.randint(1, 4))
+        rows.append((a, b))
+        if rng.random() < 0.4:
+            # -s*a . x <= -s*b + w: a slab of width w / s against the cut.
+            s = rng.choice((1, 2, f(1, 3)))
+            w = rng.choice((-1, 0, 0, 1)) * f(1, rng.randint(1, 3))
+            rows.append((tuple(-s * c for c in a), -s * b + w))
+    rng.shuffle(rows)
+    return ClebschGordanPolytope(d, tuple(rows))
+
+
+def test_volume_random_polytopes_against_hull_oracle():
+    rng = random.Random(2024)
+    full = degenerate = 0
+    for i in range(60):
+        P = _random_polytope(rng, 2 + i % 3)
+        vertices = sorted(_vertices(P))
+        diffs = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
+        if len(_reduce(diffs, P.dim)) == P.dim:
+            full += 1
+            assert abs(float(exact_volume(P)) - _hull_volume(P)) < 1e-9, P
+        else:
+            degenerate += 1
+            assert exact_volume(P) == 0, P
+    assert full >= 20 and degenerate >= 10
+
+
+def test_volume_zero_width_slab_is_pruned():
+    # 2x <= 1 and -x <= -1/2 pin x = 1/2 through rows of different scale.
+    f = Fraction
+    rows = list(_box(3).ineqs)
+    rows += [((f(2), f(0), f(0)), f(1)), ((f(-1), f(0), f(0)), f(-1, 2))]
+    stats: dict = {}
+    assert exact_volume(ClebschGordanPolytope(3, tuple(rows)), stats) == 0
+    assert stats == {"memo_entries": 0, "faces_pruned": 1}
+
+
+def test_volume_stats_are_deterministic():
+    G = generate_genus_graphs(3)[0]
+    runs = []
+    for _ in range(2):
+        stats: dict = {}
+        assert exact_volume(build_polytope(G), stats) == Fraction(2, 45)
+        runs.append(stats)
+    assert runs[0] == runs[1]
+    assert set(runs[0]) == {"memo_entries", "faces_pruned"}
+    assert runs[0]["memo_entries"] > 0 and runs[0]["faces_pruned"] > 0
+
+
+def test_volume_genus_four_past_the_cap(monkeypatch):
+    # Class 11 is the quickest genus-4 class to integrate (well under 1 s).
+    monkeypatch.setattr(polytope, "MAX_EXACT_DIMENSION", 9)
+    G = generate_genus_graphs(4)[11]
+    assert exact_volume(build_polytope(G)) == Fraction(8, 945)
 
 
 def test_volume_dimension_cap():
@@ -318,11 +391,12 @@ def test_lattice_count_int64_guard():
         lattice_count(P, THETA, 2)
 
 
-def _lattice_oracle(P: ClebschGordanPolytope, G, k: int) -> int:
-    """Every label vector in [0, k]^dim, tested exactly with ``contains``."""
+def _lattice_oracle(P: ClebschGordanPolytope, G, k: int, span=None) -> int:
+    """Every label vector in span^dim (span = range(k + 1) by default), tested
+    exactly with ``contains``."""
     triples = G.vertex_edge_triples()
     count = 0
-    for labels in product(range(k + 1), repeat=P.dim):
+    for labels in product(span or range(k + 1), repeat=P.dim):
         if any((labels[a] + labels[b] + labels[c]) % 2 for a, b, c in triples):
             continue
         count += contains(P, tuple(Fraction(j, k) for j in labels))
@@ -343,6 +417,36 @@ def test_lattice_count_rational_cuts_match_oracle():
         Q = ClebschGordanPolytope(d, P.ineqs + cuts)
         for k in range(1, k_max + 1):
             assert lattice_count(Q, G, k) == _lattice_oracle(Q, G, k), (G, k)
+
+
+def test_lattice_count_reads_the_label_box():
+    # Without the cap and with the box widened to c_e <= 2, theta's polytope
+    # holds labels up to 2k, e.g. (2, 2, 2) at k = 1.
+    f = Fraction
+    P = build_polytope(THETA)
+    rows = [(a, 2 * b if b == 1 else b) for a, b in P.ineqs if b != 2]
+    Q = ClebschGordanPolytope(P.dim, tuple(rows))
+    assert lattice_count(Q, THETA, 1) == _lattice_oracle(Q, THETA, 1, range(3)) == 11
+    for k in (2, 3):
+        expected = _lattice_oracle(Q, THETA, k, range(2 * k + 1))
+        assert lattice_count(Q, THETA, k) == expected
+    # The box [-1, 1]^3 with two rational cuts: labels run below zero, and
+    # c_0 reaches past 0 only because the later labels can be negative.
+    rows = [(a, f(1)) for a, _ in _box(3).ineqs]
+    rows += [((f(1), f(1), f(-1)), f(1, 2)), ((f(1), f(1), f(1)), f(-1, 2))]
+    Q = ClebschGordanPolytope(3, tuple(rows))
+    for k in (1, 2, 3):
+        expected = _lattice_oracle(Q, THETA, k, range(-k, k + 1))
+        assert lattice_count(Q, THETA, k) == expected
+
+
+def test_lattice_count_needs_a_label_box():
+    P = build_polytope(THETA)
+    for i, (a, b) in enumerate(P.ineqs):
+        if sum(1 for c in a if c) == 1:
+            Q = ClebschGordanPolytope(P.dim, P.ineqs[:i] + P.ineqs[i + 1 :])
+            with pytest.raises(ValueError, match="single-coordinate"):
+                lattice_count(Q, THETA, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

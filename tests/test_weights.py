@@ -23,7 +23,6 @@ from verlinde_lab.weights import (
     count_via_contraction,
     enumerate_admissible,
     is_admissible,
-    theta_basis,
     vertex_conditions_hold,
     weight_set_json_dict,
 )
@@ -266,19 +265,20 @@ def test_contraction_rejects_negative_level():
 
 
 def test_theta_basis_sizes():
-    assert len(theta_basis(THETA, 1)) == 4 == verlinde_dim(2, 1)
-    assert len(theta_basis(DUMBBELL, 2)) == 10 == verlinde_dim(2, 2)
-    assert len(theta_basis(THETA, 0)) == 1
+    assert len(enumerate_admissible(THETA, 1)) == 4 == verlinde_dim(2, 1)
+    assert len(enumerate_admissible(DUMBBELL, 2)) == 10 == verlinde_dim(2, 2)
+    assert len(enumerate_admissible(THETA, 0)) == 1
 
 
 def test_theta_basis_entries_are_labels():
-    basis = theta_basis(DUMBBELL, 2)
+    basis = enumerate_admissible(DUMBBELL, 2)
     assert all(isinstance(w, ThetaLabel) for w in basis)
+    # The theta basis is indexed in a fixed order: two calls agree.
     assert [w.labels for w in basis] == [w.labels for w in enumerate_admissible(DUMBBELL, 2)]
 
 
 def test_weight_set_json():
-    basis = theta_basis(THETA, 1)
+    basis = enumerate_admissible(THETA, 1)
     data = weight_set_json_dict(THETA, 1, basis)
     assert data["graph"] == list(canonical_form(THETA).key)
     assert data["level"] == 1
