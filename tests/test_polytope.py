@@ -262,7 +262,7 @@ def test_volume_stats_are_deterministic():
 
 
 def test_volume_genus_four_past_the_cap(monkeypatch):
-    # Class 11 is the quickest genus-4 class to integrate (well under 1 s).
+    # Class 11 is the quickest genus-4 class to integrate.
     monkeypatch.setattr(polytope, "MAX_EXACT_DIMENSION", 9)
     G = generate_genus_graphs(4)[11]
     assert exact_volume(build_polytope(G)) == Fraction(8, 945)
