@@ -375,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("graphs", help="enumerate trinion graph classes at a genus")
+    p = sub.add_parser(
+        "graphs", help="trinion graph classes at genus 2-5, by fusion-move closure"
+    )
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--out-dir", default=".", help="directory for .trinion.json files")
     _add_common(p)

@@ -9,6 +9,10 @@ isomorphism.
 
 For a connected 3-valent graph E = 3V/2, so the genus g = E - V + 1 of the
 surface it came from is (V + 2)/2 and V = 2g - 2 is forced to be even.
+
+The classes of a genus (2 to 5) are generated as the closure of one seed
+graph under elementary fusion moves, which connect every pair of trivalent
+graphs of the same genus, so no labeled structures are ever enumerated.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 MAX_CANONICAL_VERTICES = 12
 
 #: Genus range for whole-class generation (desk scale).
-MIN_GENUS, MAX_GENUS = 2, 4
+MIN_GENUS, MAX_GENUS = 2, 5
 
 GRAPH_FILE_SUFFIX = ".trinion.json"
 
@@ -280,87 +284,47 @@ def class_name(G: TrinionGraph) -> str | None:
     return None
 
 
-def _labeled_structures(V: int):
-    """All 3-regular adjacency-count structures on V labeled vertices.
+def _necklace_graph(V: int) -> TrinionGraph:
+    """Seed of the closure: double edges 2i-2i+1, single edges 2i+1-2i+2 (mod V).
 
-    Perfect-matching enumeration on the 3V half-edges, quotiented by the slot
-    symmetry within each vertex: the lowest unmatched half-edge is matched
-    against one candidate vertex at a time, always consuming that vertex's
-    lowest free slot.  Every labeled multigraph is reached; connectedness is
-    checked by the caller.
+    At V = 2 the single edge closes onto the double one and gives theta.
     """
-    capacity = [3] * V
     loops = [0] * V
     mult = [[0] * V for _ in range(V)]
-    out = set()
-
-    def rec(remaining: int):
-        if remaining == 0:
-            out.add(
-                (tuple(loops), tuple(mult[v][u] for v in range(V) for u in range(v + 1, V)))
-            )
-            return
-        v = next(i for i in range(V) if capacity[i] > 0)
-        if capacity[v] >= 2:
-            capacity[v] -= 2
-            loops[v] += 1
-            rec(remaining - 2)
-            loops[v] -= 1
-            capacity[v] += 2
-        for u in range(v + 1, V):
-            if capacity[u] > 0:
-                capacity[v] -= 1
-                capacity[u] -= 1
-                mult[v][u] += 1
-                mult[u][v] += 1
-                rec(remaining - 2)
-                mult[v][u] -= 1
-                mult[u][v] -= 1
-                capacity[v] += 1
-                capacity[u] += 1
-
-    rec(3 * V)
-    return out
-
-
-def _counts_connected(loops: tuple[int, ...], flat_mult: tuple[int, ...], V: int) -> bool:
-    mult = [[0] * V for _ in range(V)]
-    pos = 0
-    for v in range(V):
-        for u in range(v + 1, V):
-            mult[v][u] = mult[u][v] = flat_mult[pos]
-            pos += 1
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in range(V):
-            if mult[v][u] > 0 and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == V
+    for i in range(0, V, 2):
+        for a, b, m in ((i, i + 1, 2), (i + 1, (i + 2) % V, 1)):
+            mult[a][b] += m
+            mult[b][a] += m
+    return _graph_from_counts(loops, mult)
 
 
 def generate_genus_graphs(g: int) -> list[TrinionGraph]:
     """All connected 3-valent multigraphs with 2g-2 vertices, one per class.
 
-    Output is the canonical representative of each isomorphism class, sorted
-    by canonical key, so repeated runs are byte-identical.
+    Breadth-first closure of the necklace graph under `fusion_move` (both
+    variants on every non-loop edge), deduplicated by `canonical_form`.  It
+    is complete because fusion (Whitehead) moves connect all trivalent graphs
+    of a given rank (Hatcher-Thurston 1980, Culler-Vogtmann 1986).  Output is
+    the canonical representative of each class, sorted by canonical key, so
+    repeated runs are byte-identical.  Genus 2..5 gives 2, 5, 17 and 71
+    classes (OEIS A005967).
     """
     if not MIN_GENUS <= g <= MAX_GENUS:
         raise ValueError(f"genus must lie in [{MIN_GENUS}, {MAX_GENUS}], got {g}")
-    V = 2 * g - 2
-    keys = set()
-    for loops, flat_mult in _labeled_structures(V):
-        if not _counts_connected(loops, flat_mult, V):
-            continue
-        mult = [[0] * V for _ in range(V)]
-        pos = 0
-        for v in range(V):
-            for u in range(v + 1, V):
-                mult[v][u] = mult[u][v] = flat_mult[pos]
-                pos += 1
-        keys.add(CanonicalForm(_canonical_key(list(loops), mult, V)))
+    seed = _necklace_graph(2 * g - 2)
+    keys = {canonical_form(seed)}
+    queue = deque([seed])
+    while queue:
+        G = queue.popleft()
+        for e, (h, q) in enumerate(G.edges):
+            if h // 3 == q // 3:
+                continue
+            for variant in (0, 1):
+                H = fusion_move(G, e, variant)
+                key = canonical_form(H)
+                if key not in keys:
+                    keys.add(key)
+                    queue.append(H)
     return [graph_from_canonical(k) for k in sorted(keys)]
 
 
@@ -419,14 +383,29 @@ def to_json_dict(G: TrinionGraph) -> dict:
     }
 
 
+def _json_half_edge(end, V: int) -> int:
+    """Half-edge id of a JSON end [v, slot], with 0 <= v < V and slot in {0,1,2}."""
+    pair = isinstance(end, list) and len(end) == 2
+    if not pair or any(type(x) is not int for x in end):
+        raise ValueError(f"edge end must be [vertex, slot] integers, got {end!r}")
+    v, slot = end
+    if not (0 <= v < V and 0 <= slot < 3):
+        raise ValueError(f"half-edge ({v},{slot}) out of range")
+    return 3 * v + slot
+
+
 def from_json_dict(data: dict) -> TrinionGraph:
-    V = int(data["vertices"])
+    """Parse graph JSON; any other shape raises ValueError, never aliases."""
+    if not isinstance(data, dict) or type(data.get("vertices")) is not int:
+        raise ValueError('graph JSON needs an integer "vertices" field')
+    V, edges = data["vertices"], data.get("edges")
+    if not isinstance(edges, list) or 2 * len(edges) != 3 * V:
+        raise ValueError(f'graph JSON needs an "edges" list of 3V/2 edges (V = {V})')
     pairing = [-1] * (3 * V)
-    for (v1, s1), (v2, s2) in data["edges"]:
-        h1, h2 = 3 * int(v1) + int(s1), 3 * int(v2) + int(s2)
-        for h in (h1, h2):
-            if not 0 <= h < 3 * V:
-                raise ValueError(f"half-edge ({h // 3},{h % 3}) out of range")
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise ValueError(f"edge must be a pair of [vertex, slot], got {edge!r}")
+        h1, h2 = (_json_half_edge(end, V) for end in edge)
         if pairing[h1] != -1 or pairing[h2] != -1:
             raise ValueError("half-edge used twice in edge list")
         pairing[h1], pairing[h2] = h2, h1

@@ -101,6 +101,21 @@ def test_count_graph_file(tmp_path, capsys):
     assert report["outputs"]["count"] == 10
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": 2, "edges": [[[0, 3], [0, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]]},
+        {"edges": [[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]]},
+    ],
+)
+def test_count_malformed_graph_file(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "count", "--graph", str(path), "--level", "1")
+    assert code == 1
+    assert "error:" in err
+
+
 def test_count_csv(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--genus", "2", "--level", "1", "--format", "csv"

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +22,28 @@ from verlinde_lab.graph import (
     theta_graph,
     to_json_dict,
 )
+
+
+@lru_cache(maxsize=None)
+def _classes(g: int) -> tuple[TrinionGraph, ...]:
+    return tuple(generate_genus_graphs(g))
+
+
+def _nx_multigraph(G: TrinionGraph):
+    """Test-only oracle view: a networkx MultiGraph with loops as self-loops."""
+    import networkx as nx
+
+    M = nx.MultiGraph()
+    M.add_nodes_from(range(G.vertex_count))
+    M.add_edges_from((h // 3, q // 3) for h, q in G.edges)
+    return M
+
+
+def _pairwise_non_isomorphic(graphs) -> bool:
+    import networkx as nx
+
+    nets = [_nx_multigraph(G) for G in graphs]
+    return not any(nx.is_isomorphic(a, b) for i, a in enumerate(nets) for b in nets[:i])
 
 
 def k4_graph() -> TrinionGraph:
@@ -180,7 +203,7 @@ def test_generate_rejects_out_of_range():
     with pytest.raises(ValueError):
         generate_genus_graphs(1)
     with pytest.raises(ValueError):
-        generate_genus_graphs(5)
+        generate_genus_graphs(6)
 
 
 def _all_raw_matchings(n: int):
@@ -227,10 +250,14 @@ def test_generate_against_raw_matching_recount(g):
 
 
 def test_generate_class_counts_frozen():
-    # Counts confirmed by the raw-matching recount above.
-    assert len(generate_genus_graphs(2)) == 2
-    assert len(generate_genus_graphs(3)) == 5
-    assert len(generate_genus_graphs(4)) == 17
+    # Connected cubic multigraphs with loops on 2g-2 vertices, OEIS A005967.
+    assert [len(_classes(g)) for g in (2, 3, 4, 5)] == [2, 5, 17, 71]
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_generated_classes_pairwise_non_isomorphic(g):
+    """With the A005967 counts above, this certifies the closure is complete."""
+    assert _pairwise_non_isomorphic(_classes(g))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -316,6 +343,25 @@ def test_fusion_move_involution_up_to_isomorphism():
                     assert key in undone
 
 
+def test_canonical_form_matches_networkx_on_genus4_closure():
+    """canonical_form equality is multigraph isomorphism on every graph one
+    fusion move from a genus-4 class.
+
+    Each reached graph is isomorphic to the representative of its key and the
+    representatives are pairwise non-isomorphic, which by transitivity decides
+    every pair of reached graphs.
+    """
+    import networkx as nx
+
+    assert _pairwise_non_isomorphic(_classes(4))
+    reps = {canonical_form(G): _nx_multigraph(G) for G in _classes(4)}
+    for G in _classes(4):
+        for e in _non_loop_edges(G):
+            for variant in (0, 1):
+                H = fusion_move(G, e, variant)
+                assert nx.is_isomorphic(_nx_multigraph(H), reps[canonical_form(H)])
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_fusion_moves_connect_all_classes(g):
     all_keys = {canonical_form(G) for G in generate_genus_graphs(g)}
@@ -359,6 +405,40 @@ def test_json_bytes_deterministic():
 
 def test_json_rejects_reused_half_edge():
     data = {"vertices": 2, "edges": [[[0, 0], [1, 0]], [[0, 0], [1, 1]], [[0, 2], [1, 2]]]}
+    with pytest.raises(ValueError):
+        from_json_dict(data)
+
+
+THETA_EDGES = [[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # A "loop" at vertex 0 whose slot 3 would be vertex 1's slot 0.
+        [[[0, 3], [0, 0]], *THETA_EDGES[1:]],
+        # Vertex 1's slot -1 would be vertex 0's slot 2.
+        [*THETA_EDGES[:2], [[1, -1], [1, 2]]],
+    ],
+)
+def test_json_rejects_aliased_half_edges(edges):
+    # Range-checking only the flat id 3*v + slot would read both as theta.
+    with pytest.raises(ValueError, match="out of range"):
+        from_json_dict({"vertices": 2, "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"edges": THETA_EDGES},
+        {"vertices": 2, "edges": 5},
+        {"vertices": 4, "edges": THETA_EDGES},
+        {"vertices": 2, "edges": [[[0, 0], [1, 0]], [0, 1], [[0, 2], [1, 2]]]},
+        {"vertices": 2, "edges": [[[0, 0], [1, 0.0]], *THETA_EDGES[1:]]},
+        [2, THETA_EDGES],
+    ],
+)
+def test_json_rejects_malformed_shape(data):
     with pytest.raises(ValueError):
         from_json_dict(data)
 
