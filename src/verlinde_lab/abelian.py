@@ -283,9 +283,23 @@ def to_json_dict(M: AffineMultisection) -> dict:
 
 
 def from_json_dict(data: dict) -> AffineMultisection:
+    """Parse multisection JSON; any other shape raises ValueError."""
+    if not isinstance(data, dict) or type(data.get("g")) is not int:
+        raise ValueError('multisection JSON needs an integer "g" field')
+    if not isinstance(data.get("components"), list):
+        raise ValueError('multisection JSON needs a "components" list')
     comps = []
     for entry in data["components"]:
-        matrix = tuple(tuple(int(x) for x in row) for row in entry["A"])
-        shift = tuple(Fraction(s) for s in entry["t"])
-        comps.append(MultisectionComponent(matrix, shift))
-    return AffineMultisection(int(data["g"]), tuple(comps))
+        A, t = (entry.get("A"), entry.get("t")) if isinstance(entry, dict) else (None, None)
+        if not isinstance(A, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in A
+        ):
+            raise ValueError(f'component needs an "A" list of integer rows, got {A!r}')
+        if not isinstance(t, list) or not all(type(s) in (str, int) for s in t):
+            raise ValueError(f'component needs a "t" list of rational strings, got {t!r}')
+        try:
+            shift = tuple(map(Fraction, t))
+        except ZeroDivisionError:
+            raise ValueError(f"shift entry with zero denominator in {t!r}") from None
+        comps.append(MultisectionComponent(tuple(map(tuple, A)), shift))
+    return AffineMultisection(data["g"], tuple(comps))

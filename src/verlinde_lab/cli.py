@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from verlinde_lab import abelian as abelian_mod
@@ -22,10 +21,6 @@ from verlinde_lab import fusion, graph, polytope, weights
 DEFAULT_MC_SAMPLES = 10**6
 DEFAULT_SEED = 0
 DEFAULT_K_MAX = 50
-
-#: The 1% limit-agreement verdict needs enough levels for the extrapolation
-#: to settle; below this k_max the relative error is reported without verdict.
-MIN_KMAX_FOR_LIMIT_CHECK = 20
 
 
 @dataclass
@@ -233,6 +228,9 @@ def cmd_polytope(args) -> RunReport:
                 len(set(volumes)) == 1,
                 volumes=sorted({str(v) for v in volumes}),
             )
+        closed = polytope.moment_volume(pairs[0][1].genus)
+        ok = all(v == closed for v in volumes)
+        report.add_check("volume-equals-closed-form", ok, closed_form=str(closed))
     elif args.mode == "volume-mc":
         report.inputs["samples"] = args.samples
         report.inputs["seed"] = args.seed
@@ -264,19 +262,14 @@ def cmd_polytope(args) -> RunReport:
                 "volume": str(table.volume),
                 "parity_rank": table.parity_rank,
                 "volume_parity_corrected": str(table.volume_parity_corrected),
+                "leading_coefficient": str(table.leading_coefficient),
             }
             if table.extrapolated_limit is not None:
                 entry["extrapolated_limit"] = str(table.extrapolated_limit)
-                entry["extrapolated_limit_float"] = float(table.extrapolated_limit)
-                target = table.volume_parity_corrected
-                rel = abs(table.extrapolated_limit - target) / target
-                entry["limit_relative_error"] = float(rel)
-                if args.k_max >= MIN_KMAX_FOR_LIMIT_CHECK:
-                    report.add_check(
-                        f"limit-matches-parity-corrected-volume[{ident}]",
-                        rel <= Fraction(1, 100),
-                        relative_error=float(rel),
-                    )
+            report.add_check(
+                f"leading-coefficient-equals-parity-corrected-volume[{ident}]",
+                table.leading_coefficient == table.volume_parity_corrected,
+            )
             report.outputs.setdefault("tables", []).append(entry)
     return report
 

@@ -18,16 +18,18 @@ complete there, so the next frontier is a repeat of arithmetic progressions
 and the last coordinate is summed in closed form.  Frontiers are expanded
 depth-first in bounded slices, in int64 under a checked magnitude bound.
 The parity condition thins the full (1/k)-lattice by 2^r, r the GF(2) rank of
-the parity system, so the observed growth constant of the counts is
-volume / 2^r rather than the bare volume; ``asymptotic_table`` reports both.
+the parity system, so the counts grow as volume / 2^r times k^dim, with the
+volume in closed form (``moment_volume``); ``asymptotic_table`` checks this
+exactly on the count polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 
+import mpmath
 import numpy as np
 
 from verlinde_lab.graph import TrinionGraph, connected_edge_order
@@ -424,15 +426,26 @@ class AsymptoticRow:
     ratio: Fraction  # count / level**dim
 
 
+def moment_volume(g: int) -> Fraction:
+    """Volume 2^(3g-4)|B_(2g-2)|/(2g-2)! of every genus-g (g >= 2) moment polytope.
+
+    It is 2^(2g-3) times Witten's volume, the Verlinde rank's leading coefficient.
+    """
+    p, q = mpmath.bernfrac(2 * g - 2)
+    return Fraction(2 ** (3 * g - 4) * abs(int(p)), int(q) * factorial(2 * g - 2))
+
+
 @dataclass(frozen=True)
 class AsymptoticTable:
     """Growth law of the lattice counts against the polytope volume.
 
-    ``extrapolated_limit`` fits count/k^d = C + a/k + b/k^2 through the last
-    three levels (None when fewer than three rows exist).  ``volume`` is the
-    bare lattice-density law; the parity condition keeps only a 2^r fraction
-    of the lattice, so ``volume_parity_corrected`` = volume / 2^r is the
-    constant the counts actually approach.  Both are reported side by side.
+    The counts are a polynomial in k of degree d = ``dimension``, and
+    ``leading_coefficient`` is its exact leading coefficient.  ``volume`` is
+    the closed-form ``moment_volume``; the parity condition keeps only a 2^r
+    fraction of the lattice, so ``volume_parity_corrected`` = volume / 2^r is
+    the constant the leading coefficient equals.  ``extrapolated_limit`` fits
+    count/k^d = C + a/k + b/k^2 through the last three levels (None when
+    fewer than three rows exist).
     """
 
     dimension: int
@@ -441,41 +454,48 @@ class AsymptoticTable:
     volume: Fraction
     parity_rank: int
     volume_parity_corrected: Fraction
+    leading_coefficient: Fraction
 
 
 def _fit_limit(points: list[tuple[int, Fraction]]) -> Fraction:
-    """Exact solve of t(k) = C + a/k + b/k^2 through three (k, t) points."""
-    (k1, t1), (k2, t2), (k3, t3) = points
-    rows = [
-        [Fraction(1), Fraction(1, k), Fraction(1, k * k), t]
-        for k, t in ((k1, t1), (k2, t2), (k3, t3))
-    ]
-    # Gaussian elimination, exact.
-    for col in range(3):
-        piv = next(r for r in range(col, 3) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivval = rows[col][col]
-        rows[col] = [x / pivval for x in rows[col]]
-        for r in range(3):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return rows[0][3]
+    """C in t(k) = C + a/k + b/k^2 through three (k, t) points, by Lagrange at 1/k = 0."""
+    xs = [Fraction(1, k) for k, _ in points]
+    total = Fraction(0)
+    for i, (_, t) in enumerate(points):
+        term = t
+        for j, x in enumerate(xs):
+            if j != i:
+                term *= x / (x - xs[i])
+        total += term
+    return total
 
 
 def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
-    """Counts N_k for k <= k_max, ratios N_k/k^d, and the fitted growth constant."""
+    """Counts N_k for k <= k_max, ratios N_k/k^d, and the exact growth constant.
+
+    N_k has degree d = E = 3g-3 in k (Zagier 1996): contraction runs at
+    k = 0..d+1, a nonzero (d+1)-th forward difference raises ValueError, and
+    the differences at k = 0 give every other N_k by Newton's forward formula.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     d = G.edge_count
+    diffs = [count_via_contraction(G, k) for k in range(d + 2)]
+    for i in range(d + 1):  # diffs[j] becomes the j-th forward difference at k = 0
+        diffs[i + 1 :] = [b - a for a, b in zip(diffs[i:], diffs[i + 1 :])]
+    if diffs[d + 1]:
+        raise ValueError(
+            f"contraction counts at k = 0..{d + 1} are not a polynomial of degree "
+            f"{d} in k: their {d + 1}-th difference is {diffs[d + 1]}"
+        )
     rows = []
     for k in range(1, k_max + 1):
-        n = count_via_contraction(G, k)
+        n = sum(comb(k, i) * diffs[i] for i in range(d + 1))
         rows.append(AsymptoticRow(k, n, Fraction(n, k**d)))
     limit = None
     if k_max >= 3:
         limit = _fit_limit([(r.level, r.ratio) for r in rows[-3:]])
-    vol = exact_volume(build_polytope(G))
+    vol = moment_volume(G.genus)
     r = parity_rank(G)
     return AsymptoticTable(
         dimension=d,
@@ -484,14 +504,8 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
         volume=vol,
         parity_rank=r,
         volume_parity_corrected=vol / 2**r,
+        leading_coefficient=Fraction(diffs[d], factorial(d)),
     )
-
-
-def table_to_csv(table: AsymptoticTable) -> str:
-    lines = ["k,count,ratio"]
-    for row in table.rows:
-        lines.append(f"{row.level},{row.count},{float(row.ratio)!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +522,20 @@ def to_json_dict(P: ClebschGordanPolytope) -> dict:
 
 
 def from_json_dict(data: dict) -> ClebschGordanPolytope:
-    d = int(data["dim"])
+    """Parse polytope JSON; any other shape raises ValueError."""
+    if not isinstance(data, dict) or type(data.get("dim")) is not int or data["dim"] < 0:
+        raise ValueError('polytope JSON needs a non-negative integer "dim" field')
+    d, rows = data["dim"], data.get("ineqs")
+    if not isinstance(rows, list):
+        raise ValueError('polytope JSON needs an "ineqs" list of rows')
     ineqs = []
-    for row in data["ineqs"]:
-        if len(row) != d + 1:
-            raise ValueError(f"inequality row needs {d + 1} entries, got {len(row)}")
-        vals = [Fraction(s) for s in row]
+    for row in rows:
+        shaped = isinstance(row, list) and len(row) == d + 1
+        if not shaped or not all(type(s) in (str, int) for s in row):
+            raise ValueError(f"inequality row needs {d + 1} rational strings, got {row!r}")
+        try:
+            vals = [Fraction(s) for s in row]
+        except ZeroDivisionError:
+            raise ValueError(f"inequality entry with zero denominator in {row!r}") from None
         ineqs.append((tuple(vals[:d]), vals[d]))
     return ClebschGordanPolytope(d, tuple(ineqs))

@@ -292,17 +292,3 @@ def count_via_contraction(
     assert edges == ()
     return int(final)
 
-
-def weight_set_json_dict(G: TrinionGraph, k: int, labels: list[ThetaLabel]) -> dict:
-    """Weight-set JSON: graph identified by canonical key, labels in edge order.
-
-    Label rows follow G's edge order; for canonical representative graphs
-    (everything the CLI emits) that coincides with the canonical edge order.
-    """
-    from verlinde_lab.graph import canonical_form
-
-    return {
-        "graph": list(canonical_form(G).key),
-        "level": k,
-        "labels": [list(w.labels) for w in labels],
-    }

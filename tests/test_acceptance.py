@@ -5,7 +5,8 @@ Each criterion is one test; on success it prints a single
 and pytest's own PASSED/FAILED line mirrors the verdict.  Tolerances and
 runtime budgets are fixed here, not tuned: integer equalities are exact,
 the Verlinde rounding residual bound is 1e-6, character residuals 1e-9,
-Monte Carlo 4 sigma, and the asymptotic limit 1 percent.
+Monte Carlo 4 sigma, the extrapolated asymptotic limit 1 percent, and the
+leading coefficient of the count polynomial is exact.
 """
 
 import random
@@ -101,7 +102,8 @@ def test_criterion_5_asymptotics():
         assert table.volume_parity_corrected == Fraction(1, 6)
         rel = abs(table.extrapolated_limit - Fraction(1, 6)) / Fraction(1, 6)
         assert rel <= Fraction(1, 100), f"relative error {float(rel):.4%}"
-    _finish(5, "k^-3 N_k over k <= 50 extrapolates to 1/6 = vol/2^r within 1%", start)
+        assert table.leading_coefficient == Fraction(1, 6)
+    _finish(5, "N_k has leading coefficient 1/6 = vol/2^r; k <= 50 extrapolates within 1%", start)
 
 
 def test_criterion_6_abelian_counts():

@@ -218,6 +218,17 @@ def test_polytope_volume_exact(capsys):
     assert again["outputs"] == report["outputs"]
 
 
+@pytest.mark.parametrize("genus, closed_form", [(2, "1/3"), (3, "2/45")])
+def test_polytope_volume_exact_equals_closed_form(capsys, genus, closed_form):
+    code, report, _ = run_json(
+        capsys, "polytope", "--genus", str(genus), "--mode", "volume-exact"
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    check = checks["volume-equals-closed-form"]
+    assert check["passed"] and check["closed_form"] == closed_form
+
+
 def test_polytope_volume_mc_reproducible(capsys):
     args = (
         "polytope", "--genus", "2", "--mode", "volume-mc",
@@ -241,7 +252,45 @@ def test_polytope_asymptotics_json(capsys):
         assert entry["volume_parity_corrected"] == "1/6"
         limit = Fraction(entry["extrapolated_limit"])
         assert abs(limit - Fraction(1, 6)) <= Fraction(1, 600)
+        assert entry["leading_coefficient"] == "1/6"
     assert all(c["passed"] for c in report["checks"])
+    assert [c["name"] for c in report["checks"]] == [
+        "leading-coefficient-equals-parity-corrected-volume[theta]",
+        "leading-coefficient-equals-parity-corrected-volume[dumbbell]",
+    ]
+
+
+def _is_three_point_fit(limit, rows, d):
+    """limit = C makes (t - C)/x linear in x = 1/k through the last three rows."""
+    pts = [(Fraction(1, r["k"]), Fraction(r["count"], r["k"] ** d)) for r in rows[-3:]]
+    (x1, u1), (x2, u2), (x3, u3) = [(x, (t - limit) / x) for x, t in pts]
+    return (u2 - u1) / (x2 - x1) == (u3 - u2) / (x3 - x2)
+
+
+@pytest.mark.parametrize(
+    "genus, k_max, leading", [(3, "30", "1/180"), (4, "12", "1/3780")]
+)
+def test_polytope_asymptotics_exact_checks(capsys, genus, k_max, leading):
+    # Genus 3 at k_max 30 is where a 1 % fit gate missed on correct counts;
+    # genus 4 is past exact_volume's dimension cap.
+    code, report, _ = run_json(
+        capsys, "polytope", "--genus", str(genus), "--mode", "asymptotics",
+        "--k-max", k_max,
+    )
+    assert code == 0
+    d = 3 * genus - 3
+    tables = report["outputs"]["tables"]
+    assert len(tables) == len(report["checks"]) == {3: 5, 4: 17}[genus]
+    for entry, check in zip(tables, report["checks"]):
+        assert check == {
+            "name": f"leading-coefficient-equals-parity-corrected-volume[{entry['graph']}]",
+            "passed": True,
+        }
+        assert entry["leading_coefficient"] == leading == entry["volume_parity_corrected"]
+        assert len(entry["rows"]) == int(k_max)
+        limit = Fraction(entry["extrapolated_limit"])
+        assert _is_three_point_fit(limit, entry["rows"], d)
+        assert not _is_three_point_fit(limit + Fraction(1, 10**30), entry["rows"], d)
 
 
 def test_polytope_asymptotics_csv(capsys):
@@ -317,6 +366,28 @@ def test_abelian_identity_multisection(tmp_path, capsys):
     assert report["outputs"]["fibres"] == [
         {"point": ["1/2", "1/2"], "component": 0}
     ]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"g": 2},
+        {"g": 2, "components": 5},
+        {"components": []},
+        {"g": 1, "components": [5]},
+        {"g": 1, "components": [{"A": [[1]]}]},
+        {"g": 1, "components": [{"A": [[1.5]], "t": ["0"]}]},
+        {"g": 1, "components": [{"A": [[2]], "t": [None]}]},
+        {"g": 1, "components": [{"A": [[2]], "t": ["1/0"]}]},
+    ],
+)
+def test_abelian_malformed_multisection_fails(tmp_path, capsys, data):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "abelian", "--multisection", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_abelian_singular_multisection_fails(tmp_path, capsys):

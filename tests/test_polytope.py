@@ -6,7 +6,8 @@ from itertools import combinations, product
 
 import pytest
 
-from verlinde_lab import polytope
+from verlinde_lab import graph, polytope
+from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import dumbbell_graph, generate_genus_graphs, theta_graph
 from verlinde_lab.polytope import (
     ClebschGordanPolytope,
@@ -17,8 +18,8 @@ from verlinde_lab.polytope import (
     from_json_dict,
     lattice_count,
     mc_volume,
+    moment_volume,
     parity_rank,
-    table_to_csv,
     to_json_dict,
 )
 from verlinde_lab.weights import (
@@ -508,15 +509,55 @@ def test_asymptotic_genus_three_ties_volume_to_counts():
     target = Fraction(2, 45) / 8
     rel = abs(table.extrapolated_limit - target) / target
     assert rel < Fraction(1, 100)
+    assert table.leading_coefficient == target
 
 
-def test_table_csv_format():
-    table = asymptotic_table(THETA, 3)
-    text = table_to_csv(table)
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,count,ratio"
-    assert lines[1].startswith("1,4,")
-    assert len(lines) == 4
+def test_asymptotic_genus_four_exact():
+    # Beyond exact_volume's dimension cap: the count polynomial alone gives
+    # the growth constant, equal to moment_volume(4) / 2^5 on every class.
+    want = [verlinde_dim(4, k) for k in range(1, 21)]
+    for G in generate_genus_graphs(4):
+        table = asymptotic_table(G, 20)
+        assert [r.count for r in table.rows] == want
+        assert table.leading_coefficient == Fraction(1, 3780)
+        assert table.volume == Fraction(8, 945)
+        assert table.volume_parity_corrected == Fraction(1, 3780)
+
+
+@pytest.mark.parametrize("node", range(5))
+def test_asymptotic_rejects_non_polynomial_counts(monkeypatch, node):
+    # Theta has d = 3, so contraction runs at k = 0..4; a count off by one at
+    # any of them leaves a nonzero fourth difference.
+    def perturbed(G, k, **kwargs):
+        return count_via_contraction(G, k, **kwargs) + (k == node)
+
+    monkeypatch.setattr(polytope, "count_via_contraction", perturbed)
+    with pytest.raises(ValueError, match="not a polynomial of degree 3"):
+        asymptotic_table(THETA, 10)
+
+
+def test_asymptotic_leading_coefficients_through_genus_six():
+    cases = [
+        (THETA, Fraction(1, 6)),
+        (graph._necklace_graph(8), Fraction(1, 75600)),
+        (graph._necklace_graph(10), Fraction(1, 1496880)),
+    ]
+    for G, want in cases:
+        table = asymptotic_table(G, 3)
+        assert table.leading_coefficient == want == table.volume_parity_corrected
+
+
+def test_moment_volume_closed_form():
+    # 2^(3g-4) |B_(2g-2)| / (2g-2)!
+    got = [moment_volume(g) for g in range(2, 8)]
+    assert got == [
+        Fraction(1, 3),
+        Fraction(2, 45),
+        Fraction(8, 945),
+        Fraction(8, 4725),
+        Fraction(32, 93555),
+        Fraction(44224, 638512875),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -539,5 +580,24 @@ def test_json_rational_strings():
 def test_json_rejects_bad_arity():
     data = to_json_dict(build_polytope(THETA))
     data["ineqs"][0] = data["ineqs"][0][:-1]
+    with pytest.raises(ValueError):
+        from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 2},
+        {"dim": 2, "ineqs": 5},
+        {"dim": "2", "ineqs": []},
+        {"ineqs": []},
+        [2],
+        {"dim": 1, "ineqs": [5]},
+        {"dim": 1, "ineqs": [["1", None]]},
+        {"dim": 1, "ineqs": [[0.5, "1"]]},
+        {"dim": 1, "ineqs": [["1/0", "1"]]},
+    ],
+)
+def test_json_rejects_malformed(data):
     with pytest.raises(ValueError):
         from_json_dict(data)

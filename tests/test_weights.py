@@ -8,7 +8,6 @@ import pytest
 from verlinde_lab import weights
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
-    canonical_form,
     dumbbell_graph,
     fusion_move,
     generate_genus_graphs,
@@ -24,7 +23,6 @@ from verlinde_lab.weights import (
     enumerate_admissible,
     is_admissible,
     vertex_conditions_hold,
-    weight_set_json_dict,
 )
 
 THETA = theta_graph()
@@ -275,11 +273,3 @@ def test_theta_basis_entries_are_labels():
     assert all(isinstance(w, ThetaLabel) for w in basis)
     # The theta basis is indexed in a fixed order: two calls agree.
     assert [w.labels for w in basis] == [w.labels for w in enumerate_admissible(DUMBBELL, 2)]
-
-
-def test_weight_set_json():
-    basis = enumerate_admissible(THETA, 1)
-    data = weight_set_json_dict(THETA, 1, basis)
-    assert data["graph"] == list(canonical_form(THETA).key)
-    assert data["level"] == 1
-    assert data["labels"] == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
