@@ -9,10 +9,11 @@ The higher-rank generalization is modelled by affine multisections of the
 dual fibration: finitely many components b |-> A.b + t (mod Z^g) with A an
 integer matrix and t a rational shift.  The fibres supporting a covariant
 constant section are the solutions of A.b + t = 0 (mod Z^g); for nonsingular
-A there are exactly |det A| of them per component, found explicitly through
-the Smith normal form, and the total matches the topological intersection
-number of the multisection with the zero section.  Everything in this module
-is exact integer/rational arithmetic.
+A there are exactly |det A| of them per component.  The count is read from a
+fraction-free determinant and the points are listed through the Smith normal
+form, so the two cross-check each other; the total matches the topological
+intersection number of the multisection with the zero section.  Everything
+in this module is exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 #: bs_points refuses to materialize more labels than this.
 DEFAULT_MAX_POINTS = 10**6
@@ -212,50 +215,71 @@ def smith_normal_form(
     return U, a, V
 
 
-def _component_diagonal(comp: MultisectionComponent):
-    U, D, V = smith_normal_form([list(row) for row in comp.matrix])
-    diag = [D[i][i] for i in range(len(D))]
-    if any(d == 0 for d in diag):
-        raise SingularComponentError(
-            "component matrix is singular: fibrewise intersection is "
-            "positive-dimensional and the count is undefined in this model"
-        )
-    return U, V, diag
+_SINGULAR = (
+    "component matrix is singular: fibrewise intersection is "
+    "positive-dimensional and the count is undefined in this model"
+)
+
+
+def _determinant(matrix: tuple[tuple[int, ...], ...]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def gft_intersection_count(M: AffineMultisection) -> int:
     """Total number of base points supporting a covariant constant section.
 
-    Per component the congruence A.b + t = 0 (mod Z^g) has exactly
-    |det A| = d_1*...*d_g solutions on the torus, read off from the Smith
-    normal form; components are summed with multiplicity.
+    Per component the congruence A.b + t = 0 (mod Z^g) has exactly |det A|
+    solutions on the torus; components are summed with multiplicity.  The
+    determinant is computed without the Smith normal form that lists the
+    points, so ``e_bs_fibres`` and this count are independent.
     """
     total = 0
     for comp in M.components:
-        _, _, diag = _component_diagonal(comp)
-        prod = 1
-        for d in diag:
-            prod *= abs(d)
-        total += prod
+        det = _determinant(comp.matrix)
+        if det == 0:
+            raise SingularComponentError(_SINGULAR)
+        total += abs(det)
     return total
 
 
 def _component_solutions(comp: MultisectionComponent) -> list[tuple[Fraction, ...]]:
-    U, V, diag = _component_diagonal(comp)
+    U, D, V = smith_normal_form([list(row) for row in comp.matrix])
+    diag = [D[i][i] for i in range(len(D))]
+    if 0 in diag:
+        raise SingularComponentError(_SINGULAR)
     g = len(diag)
     # Solve D y = -U t (mod Z^g), then map back through b = V y (mod Z^g).
     s = [
         -sum(Fraction(U[i][l]) * comp.shift[l] for l in range(g)) for i in range(g)
     ]
-    points = []
-    for residues in product(*(range(d) for d in diag)):
-        y = [(s[i] + residues[i]) / diag[i] for i in range(g)]
-        b = tuple(
-            (sum(Fraction(V[i][j]) * y[j] for j in range(g))) % 1 for i in range(g)
-        )
-        points.append(b)
-    points.sort()
-    return points
+    # Every y_i = (s_i + r_i) / d_i, r_i in [0, d_i), is a multiple of 1/Q for
+    # Q = lcm(den(s_i) * d_i), with numerator base_i + r_i * Q/d_i.  So is
+    # every b = V y mod 1, with numerators V Y mod Q: the points are
+    # enumerated and sorted as integer tuples, and sorting those over one
+    # denominator orders the Fractions the same way.
+    Q = lcm(*(si.denominator * d for si, d in zip(s, diag)))
+    bases = [si.numerator * (Q // (si.denominator * d)) for si, d in zip(s, diag)]
+    numerators = [range(base, base + Q, Q // d) for base, d in zip(bases, diag)]
+    points = sorted(
+        tuple(sum(map(mul, row, Y)) % Q for row in V)
+        for Y in product(*numerators)
+    )
+    return [tuple(Fraction(n, Q) for n in p) for p in points]
 
 
 def e_bs_fibres(M: AffineMultisection) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -269,6 +293,33 @@ def e_bs_fibres(M: AffineMultisection) -> list[tuple[tuple[Fraction, ...], int]]
         for point in _component_solutions(comp):
             out.append((point, idx))
     return out
+
+
+def fibres_solve_congruence(
+    M: AffineMultisection, fibres: list[tuple[tuple[Fraction, ...], int]]
+) -> bool:
+    """True when each fibre b of component (A, t) lies in [0,1)^g and solves
+    A.b + t = 0 (mod Z^g), and no component lists a point twice.
+
+    Per component the points and the shift are written over one common
+    denominator Q, so the test runs on integer numerators modulo Q.
+    """
+    points: list[list[tuple[Fraction, ...]]] = [[] for _ in M.components]
+    for point, idx in fibres:
+        points[idx].append(point)
+    for comp, pts in zip(M.components, points):
+        flat = [(x.numerator, x.denominator) for p in pts for x in p]
+        Q = lcm(*{d for _, d in flat}, *(s.denominator for s in comp.shift))
+        nums = [n * (Q // d) for n, d in flat]
+        g = len(comp.shift)
+        B = [tuple(nums[i : i + g]) for i in range(0, len(nums), g)]
+        if len(set(B)) != len(B) or not all(0 <= n < Q for n in nums):
+            return False
+        for row, s in zip(comp.matrix, comp.shift):
+            t = s.numerator * (Q // s.denominator)
+            if any((sum(map(mul, row, b)) + t) % Q for b in B):
+                return False
+    return True
 
 
 def to_json_dict(M: AffineMultisection) -> dict:

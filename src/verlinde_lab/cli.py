@@ -294,6 +294,9 @@ def cmd_abelian(args) -> RunReport:
         report.add_check(
             "fibre-total-equals-count", len(fibres) == count, fibres=len(fibres)
         )
+        report.add_check(
+            "fibres-solve-congruence", abelian_mod.fibres_solve_congruence(M, fibres)
+        )
     else:
         F = abelian_mod.TorusFibration(args.g, args.level)
         report.outputs["count"] = abelian_mod.bs_count(F)

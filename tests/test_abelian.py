@@ -16,6 +16,7 @@ from verlinde_lab.abelian import (
     bs_count,
     bs_points,
     e_bs_fibres,
+    fibres_solve_congruence,
     from_json_dict,
     gft_intersection_count,
     smith_normal_form,
@@ -331,6 +332,104 @@ def test_fibres_total_equals_count():
         _component(_diag(3, 1), (Fraction(1, 4), Fraction(1, 2))),
     )
     assert len(e_bs_fibres(M)) == gft_intersection_count(M)
+
+
+def _fibres_fraction_oracle(M):
+    """Reference: the Smith-normal-form solutions enumerated in Fractions."""
+    out = []
+    for idx, comp in enumerate(M.components):
+        U, D, V = smith_normal_form([list(row) for row in comp.matrix])
+        g = len(D)
+        diag = [D[i][i] for i in range(g)]
+        s = [-sum(Fraction(U[i][l]) * comp.shift[l] for l in range(g)) for i in range(g)]
+        points = []
+        for residues in product(*(range(d) for d in diag)):
+            y = [(s[i] + residues[i]) / diag[i] for i in range(g)]
+            points.append(
+                tuple(sum(Fraction(V[i][j]) * y[j] for j in range(g)) % 1 for i in range(g))
+            )
+        out += [(pt, idx) for pt in sorted(points)]
+    return out
+
+
+def _unimodular(rng, g):
+    """Random elementary row operations and a sign: det = +-1, negative entries."""
+    U = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(2 * g if g > 1 else 0):
+        i, j = rng.sample(range(g), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    if rng.random() < 0.5:
+        U[0] = [-x for x in U[0]]
+    return U
+
+
+def _random_multisection(rng, g):
+    """Components A = U1 diag(d) U2 over primes 2, 3, 5, 7, shifts p/q with q in 2..12.
+
+    Returns the multisection and its |det A| total, prod(d) per component.
+    """
+    comps, total = [], 0
+    for _ in range(rng.randint(1, 3)):
+        d = [1] * g
+        for p in rng.choices((2, 3, 5, 7), k=rng.randint(0, 3)):
+            d[rng.randrange(g)] *= p
+        D = [[d[i] * (i == j) for j in range(g)] for i in range(g)]
+        A = _matmul(_matmul(_unimodular(rng, g), D), _unimodular(rng, g))
+        shift = []
+        for _ in range(g):
+            q = rng.randint(2, 12)
+            shift.append(Fraction(rng.randrange(q), q))
+        comps.append(_component(A, shift))
+        total += _det(D)
+    return AffineMultisection(g, tuple(comps)), total
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_fibres_equal_fraction_oracle_on_random_multisections(g):
+    rng = random.Random(700 + g)
+    for _ in range(8):
+        M, total = _random_multisection(rng, g)
+        fibres = e_bs_fibres(M)
+        assert fibres == _fibres_fraction_oracle(M)
+        assert gft_intersection_count(M) == total == len(fibres)
+        assert fibres_solve_congruence(M, fibres)
+
+
+def test_count_equals_determinant_on_dense_matrices():
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(120):
+        g = rng.randint(1, 4)
+        A = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)]
+        M = _multisection(_component(A))
+        if _det(A) == 0:
+            singular += 1
+            with pytest.raises(SingularComponentError, match="singular"):
+                gft_intersection_count(M)
+            continue
+        assert gft_intersection_count(M) == abs(_det(A)) == len(e_bs_fibres(M))
+    assert singular > 0
+
+
+def test_fibres_solve_congruence_rejects_tampered_and_duplicated_points():
+    M = _multisection(
+        _component(((2, 1), (-1, 3)), (Fraction(1, 6), Fraction(3, 4))),
+        _component(_diag(2, 2)),
+    )
+    fibres = e_bs_fibres(M)
+    assert fibres_solve_congruence(M, fibres)
+    (x, y), idx = fibres[3]
+    tampered = list(fibres)
+    tampered[3] = ((x, (y + Fraction(1, 97)) % 1), idx)
+    assert not fibres_solve_congruence(M, tampered)
+    duplicated = list(fibres)
+    duplicated[3] = fibres[2]
+    assert fibres[2][1] == idx
+    assert not fibres_solve_congruence(M, duplicated)
+    outside = list(fibres)
+    outside[3] = ((x + 1, y), idx)  # the same torus point, outside [0,1)^g
+    assert not fibres_solve_congruence(M, outside)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -350,7 +353,11 @@ def test_abelian_multisection_file(tmp_path, capsys):
     assert code == 0
     assert report["outputs"]["count"] == 6
     assert len(report["outputs"]["fibres"]) == 6
-    assert report["checks"][0]["passed"]
+    assert [c["name"] for c in report["checks"]] == [
+        "fibre-total-equals-count",
+        "fibres-solve-congruence",
+    ]
+    assert all(c["passed"] for c in report["checks"])
 
 
 def test_abelian_identity_multisection(tmp_path, capsys):
@@ -366,6 +373,24 @@ def test_abelian_identity_multisection(tmp_path, capsys):
     assert report["outputs"]["fibres"] == [
         {"point": ["1/2", "1/2"], "component": 0}
     ]
+
+
+def test_abelian_multisection_fails_on_a_repeated_fibre(tmp_path, capsys, monkeypatch):
+    M = AffineMultisection(
+        2, (MultisectionComponent(((2, 0), (0, 3)), (Fraction(0), Fraction(1, 2))),)
+    )
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(multisection_json(M)))
+    listed = cli.abelian_mod.e_bs_fibres
+
+    def repeat_first(M):
+        fibres = listed(M)
+        return [fibres[0]] + fibres[:-1]
+
+    monkeypatch.setattr(cli.abelian_mod, "e_bs_fibres", repeat_first)
+    code, out, err = run_cli(capsys, "abelian", "--multisection", str(path))
+    assert code == 1
+    assert err == "failed checks: fibres-solve-congruence\n"
 
 
 @pytest.mark.parametrize(
@@ -398,6 +423,42 @@ def test_abelian_singular_multisection_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "abelian", "--multisection", str(path))
     assert code == 1
     assert "singular" in err
+
+
+# ---------------------------------------------------------------------------
+# README command block
+# ---------------------------------------------------------------------------
+
+
+def _readme_command_block():
+    """The `verlinde-lab` lines and the multisection JSON of README's command section."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    sh = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [ln for ln in sh.splitlines() if ln.startswith("verlinde-lab ")]
+    multisection = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    return lines, json.loads(multisection)
+
+
+def _answers(outputs):
+    """What a `# -> N` comment names: every per-graph volume, else the headline value."""
+    if "volumes" in outputs:
+        return {v["volume"] for v in outputs["volumes"]}
+    return {str(outputs.get("count", outputs.get("dimension")))}
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    lines, multisection = _readme_command_block()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "multisection.json").write_text(json.dumps(multisection))
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        expected = re.match(r"\s*->\s*(\S+)", comment)
+        if expected:
+            assert _answers(json.loads(out)["outputs"]) == {expected.group(1)}, line
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from verlinde_lab import graph, polytope
@@ -307,6 +308,56 @@ def test_mc_deterministic_given_seed():
 def test_mc_sample_floor():
     with pytest.raises(ValueError):
         mc_volume(_box(2), 999, 0)
+
+
+def _mc_volume_row_major(P, samples, rng_seed):
+    """Reference: every row tested, one sample per row of x @ A.T."""
+    A = np.array([[float(c) for c in a] for a, _ in P.ineqs], dtype=float)
+    b = np.array([float(bb) for _, bb in P.ineqs], dtype=float)
+    rng = np.random.default_rng(rng_seed)
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        n = min(polytope._MC_CHUNK, remaining)
+        x = rng.random((n, P.dim))
+        hits += int((x @ A.T <= b).all(axis=1).sum())
+        remaining -= n
+    estimate = hits / samples
+    return estimate, (estimate * (1.0 - estimate) / samples) ** 0.5
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_mc_equals_row_major_reference_on_every_class(g):
+    samples = polytope._MC_CHUNK + 3001  # a full chunk and a partial one
+    for i, G in enumerate(generate_genus_graphs(g)):
+        P = build_polytope(G)
+        assert mc_volume(P, samples, 100 * g + i) == _mc_volume_row_major(P, samples, 100 * g + i)
+
+
+_BOX_ROWS_2D = [["-1", "0", "0"], ["0", "-1", "0"], ["1", "0", "1"], ["0", "1", "1"]]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [["2", "0", "1"]],  # 2c_0 <= 1: the cube does not imply it
+        [["1/3", "1", "1"]],  # positive part 4/3 > 1
+        [["1", "1", "2"]],  # c_0 + c_1 <= 2: implied
+        [["1/3", "1/3", "1"], ["1", "-1", "1"]],  # implied, with a 1/3 coefficient
+        [["2", "0", "1"], ["1", "1", "2"], ["1/3", "1", "1"], ["-1", "1", "1/2"]],
+        [],  # the box alone: every row is skipped
+    ],
+)
+def test_mc_equals_row_major_reference_on_json_rows(extra):
+    P = from_json_dict({"dim": 2, "ineqs": _BOX_ROWS_2D + extra})
+    for seed in (0, 1, 2):
+        assert mc_volume(P, 20_000, seed) == _mc_volume_row_major(P, 20_000, seed)
+
+
+def test_integer_rows_scale_each_row_and_are_cached():
+    P = from_json_dict({"dim": 2, "ineqs": [["1/3", "1/2", "1"], ["-2", "0", "0"]]})
+    assert P.integer_rows == (((2, 3), 6), ((-2, 0), 0))
+    assert P.integer_rows is P.integer_rows
 
 
 # ---------------------------------------------------------------------------
