@@ -131,15 +131,7 @@ def cmd_count(args) -> RunReport:
 
 def cmd_verlinde(args) -> RunReport:
     report = RunReport("verlinde", {"genus": args.genus, "level": args.level})
-    try:
-        dim = fusion.verlinde_dim(args.genus, args.level)
-    except fusion.PrecisionError as exc:
-        report.add_check("rounding-residual", False, detail=str(exc))
-        return report
-    report.outputs["dimension"] = dim
-    report.add_check(
-        "rounding-residual", True, tolerance=fusion.ROUNDING_TOLERANCE
-    )
+    report.outputs["dimension"] = fusion.verlinde_dim(args.genus, args.level)
     return report
 
 
@@ -221,12 +213,6 @@ def cmd_polytope(args) -> RunReport:
             volumes.append(vol)
             report.outputs.setdefault("volumes", []).append(
                 {"graph": ident, "volume": str(vol), **stats}
-            )
-        if len(pairs) > 1:
-            report.add_check(
-                "volume-identical-across-genus",
-                len(set(volumes)) == 1,
-                volumes=sorted({str(v) for v in volumes}),
             )
         closed = polytope.moment_volume(pairs[0][1].genus)
         ok = all(v == closed for v in volumes)
@@ -440,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
         OSError,
         json.JSONDecodeError,
-        fusion.PrecisionError,
+        ArithmeticError,
         weights.WorkBoundExceeded,
         weights.FrontierBudgetExceeded,
         abelian_mod.BudgetExceeded,

@@ -8,27 +8,24 @@ ideal generated by the label m = k+1 (dimension k+2); its structure constants
 are the truncated Clebsch-Gordan rule implemented here and enforced, not
 assumed, by the character-homomorphism oracle.
 
-All trigonometric evaluation runs at PRECISION_BITS of mantissa (well beyond
-double-double) so that integer rounding in ``verlinde_dim`` is unambiguous at
-desk scales.
+``verlinde_dim`` is exact: it evaluates the trigonometric Verlinde sum as a
+rational number through the residue theorem, with no floating point.  Only
+the characters, the numeric oracle for ``fusion_product``, are evaluated in
+mpmath at PRECISION_BITS of mantissa.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 
-# >= 106-bit (double-double) required for the rounding tolerances below;
-# 200 bits leaves a wide margin for g <= 6, k <= 20.
+# Mantissa bits of the character values, the oracle that the fusion_product
+# tests compare against; their residuals are held below 1e-9 up to level 8.
+# verlinde_dim is exact and does not use it.
 PRECISION_BITS = 200
-
-#: Largest acceptable distance from the Verlinde sum to the nearest integer.
-ROUNDING_TOLERANCE = 1e-6
-
-
-class PrecisionError(ArithmeticError):
-    """Raised when a value that must be an integer fails to round cleanly."""
 
 
 def clebsch_gordan(m1: int, m2: int) -> list[int]:
@@ -40,18 +37,6 @@ def clebsch_gordan(m1: int, m2: int) -> list[int]:
     if m1 < 0 or m2 < 0:
         raise ValueError("spin labels must be non-negative")
     return list(range(abs(m1 - m2), m1 + m2 + 1, 2))
-
-
-def fusion_coefficient(k: int, m1: int, m2: int, m3: int) -> int:
-    """Structure constant N_{m1,m2}^{m3} of the level-k fusion ring (0 or 1)."""
-    for m in (m1, m2, m3):
-        if not 0 <= m <= k:
-            raise ValueError(f"label {m} outside level-{k} basis range [0, {k}]")
-    if (m1 + m2 + m3) % 2 != 0:
-        return 0
-    if abs(m1 - m2) <= m3 <= min(m1 + m2, 2 * k - m1 - m2):
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -181,29 +166,44 @@ def character_homomorphism_check(k: int, z: CharacterPoint, m1: int, m2: int) ->
         return float(abs(lhs - rhs))
 
 
+def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two power series, truncated to the length of ``a``."""
+    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
+
+
 def verlinde_dim(g: int, k: int) -> int:
     """Rank of the level-k space of non-abelian theta functions at genus g.
 
-    Evaluates ((k+2)/2)^(g-1) * sum_{n=1}^{k+1} sin(n pi/(k+2))^-(2g-2)
-    in extended precision and rounds to the nearest integer; raises
-    PrecisionError if the rounding residual reaches ROUNDING_TOLERANCE.
+    The rank is ((k+2)/2)^(g-1) * sum_{j=1}^{k+1} sin(j pi/(k+2))^-(2g-2),
+    evaluated exactly.  With n = k+2 and m = g-1, the function
+    n cot(nx) csc(x)^(2m) has period pi, residue csc(pi j/n)^(2m) at each
+    x = pi j/n with 0 < j < n, and residues summing to zero over a period, so
+
+        sum_j sin(pi j/n)^(-2m) = -[x^(2m)] (nx cot(nx)) (x / sin x)^(2m),
+
+    a polynomial in n with rational coefficients (Zagier 1996, "Elementary
+    aspects of the Verlinde formula and of the Harder-Narasimhan-Atiyah-Bott
+    formula").  Both factors are even power series with Bernoulli-number
+    coefficients, truncated at x^(2m).  Raises ArithmeticError if the
+    result is not an integer.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
     if k < 0:
         raise ValueError("level must be non-negative")
-    with mp.workprec(PRECISION_BITS):
-        prefactor = mp.mpf(k + 2) ** (g - 1) / mp.mpf(2) ** (g - 1)
-        total = mp.mpf(0)
-        for n in range(1, k + 2):
-            s = mp.sin(mp.pi * n / (k + 2))
-            total += s ** (-(2 * g - 2))
-        value = prefactor * total
-        nearest = mp.nint(value)
-        residual = abs(value - nearest)
-        if residual >= ROUNDING_TOLERANCE:
-            raise PrecisionError(
-                f"Verlinde sum for g={g}, k={k} is {mp.nstr(value, 30)}; "
-                f"residual {mp.nstr(residual, 5)} exceeds {ROUNDING_TOLERANCE}"
-            )
-        return int(nearest)
+    n, m = k + 2, g - 1
+    # Coefficients of x^(2i), i = 0..m, of x cot x and x / sin x, both
+    # multiples of B_2i / (2i)! (Abramowitz-Stegun 4.3.70 and 4.3.68).
+    bernoulli = [Fraction(*map(int, mp.bernfrac(2 * i))) / factorial(2 * i) for i in range(m + 1)]
+    x_cot = [(-4) ** i * b for i, b in enumerate(bernoulli)]
+    x_csc = [(-1) ** (i + 1) * (4**i - 2) * b for i, b in enumerate(bernoulli)]
+    power = [Fraction(1)] + [Fraction(0)] * m
+    for bit in bin(2 * m)[2:]:
+        power = _truncated_product(power, power)
+        if bit == "1":
+            power = _truncated_product(power, x_csc)
+    total = -sum(c * n ** (2 * i) * p for i, (c, p) in enumerate(zip(x_cot, reversed(power))))
+    value = total * n**m / 2**m
+    if value.denominator != 1:
+        raise ArithmeticError(f"Verlinde rank for g={g}, k={k} is {value}, not an integer")
+    return int(value)

@@ -4,7 +4,7 @@ Each criterion is one test; on success it prints a single
 ``ACCEPTANCE <n> PASS`` line with its runtime (visible with ``pytest -s``),
 and pytest's own PASSED/FAILED line mirrors the verdict.  Tolerances and
 runtime budgets are fixed here, not tuned: integer equalities are exact,
-the Verlinde rounding residual bound is 1e-6, character residuals 1e-9,
+the Verlinde rank is exact rational arithmetic, character residuals 1e-9,
 Monte Carlo 4 sigma, the extrapolated asymptotic limit 1 percent, and the
 leading coefficient of the count polynomial is exact.
 """
@@ -32,7 +32,7 @@ def test_criterion_1_verlinde_weight_agreement():
     for g in (2, 3):
         for G in graph.generate_genus_graphs(g):
             for k in range(0, 7):
-                dim = fusion.verlinde_dim(g, k)  # rounding residual < 1e-6 inside
+                dim = fusion.verlinde_dim(g, k)  # exact; no rounding inside
                 assert weights.count_via_contraction(G, k) == dim
     _finish(1, "contraction count equals Verlinde dimension, g in {2,3}, k <= 6", start)
 

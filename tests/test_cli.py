@@ -148,13 +148,36 @@ def test_verlinde(capsys):
     code, report, _ = run_json(capsys, "verlinde", "--genus", "2", "--level", "1")
     assert code == 0
     assert report["outputs"]["dimension"] == 4
-    assert report["checks"][0]["passed"]
+    assert report["checks"] == []
 
 
 def test_verlinde_level_zero(capsys):
     code, report, _ = run_json(capsys, "verlinde", "--genus", "2", "--level", "0")
     assert code == 0
     assert report["outputs"]["dimension"] == 1
+
+
+def test_verlinde_large_rank_exact(capsys):
+    # 68 digits, past where a 200-bit float sum still rounds to the right integer.
+    code, report, _ = run_json(capsys, "verlinde", "--genus", "12", "--level", "300")
+    assert code == 0
+    assert report["outputs"]["dimension"] == (
+        78127582890685710733278837827377553044687101241225179996273589399751
+    )
+
+
+def test_verlinde_non_integer_rank_is_an_error(capsys, monkeypatch):
+    # A corrupted series must end the run with an error, never a rounded integer.
+    real = cli.fusion._truncated_product
+
+    def off_by_a_third(a, b):
+        out = real(a, b)
+        return [out[0] + Fraction(1, 3), *out[1:]]
+
+    monkeypatch.setattr(cli.fusion, "_truncated_product", off_by_a_third)
+    code, out, err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Verlinde rank for g=2, k=1 is ")
 
 
 def test_verlinde_matches_counts_genus_three(capsys):
@@ -212,13 +235,31 @@ def test_polytope_volume_exact(capsys):
     )
     assert code == 0
     assert [v["volume"] for v in report["outputs"]["volumes"]] == ["1/3", "1/3"]
-    assert report["checks"][0]["name"] == "volume-identical-across-genus"
+    assert [c["name"] for c in report["checks"]] == ["volume-equals-closed-form"]
     assert report["checks"][0]["passed"]
     for entry in report["outputs"]["volumes"]:
         assert entry["memo_entries"] > 0 and entry["faces_pruned"] >= 0
     # The work counters are deterministic, so two reports diff clean.
     _, again, _ = run_json(capsys, "polytope", "--genus", "2", "--mode", "volume-exact")
     assert again["outputs"] == report["outputs"]
+
+
+def test_polytope_volume_exact_flags_one_wrong_class(capsys, monkeypatch):
+    real = cli.polytope.exact_volume
+    calls = []
+
+    def wrong_on_second(P, stats=None):
+        calls.append(P)
+        vol = real(P, stats)
+        return vol * 2 if len(calls) == 2 else vol
+
+    monkeypatch.setattr(cli.polytope, "exact_volume", wrong_on_second)
+    code, out, err = run_cli(capsys, "polytope", "--genus", "2", "--mode", "volume-exact")
+    assert code == 1
+    report = json.loads(out)
+    assert [v["volume"] for v in report["outputs"]["volumes"]] == ["1/3", "2/3"]
+    assert [c["name"] for c in report["checks"]] == ["volume-equals-closed-form"]
+    assert "failed checks: volume-equals-closed-form" in err
 
 
 @pytest.mark.parametrize("genus, closed_form", [(2, "1/3"), (3, "2/45")])

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from verlinde_lab import fusion
+from verlinde_lab import fusion, graph
 from verlinde_lab.fusion import (
     CharacterPoint,
     FusionElement,
@@ -19,6 +19,7 @@ from verlinde_lab.fusion import (
     fusion_product,
     verlinde_dim,
 )
+from verlinde_lab.weights import count_via_contraction
 
 
 def test_clebsch_gordan_identity():
@@ -214,3 +215,49 @@ def test_verlinde_dim_rejects_bad_input():
         verlinde_dim(1, 3)
     with pytest.raises(ValueError):
         verlinde_dim(2, -1)
+
+
+# Ranks above 2^180, where a fixed 200-bit evaluation of the sum printed wrong
+# integers or failed to round, plus (20, 20) whose rank has 52 digits.
+LARGE_RANKS = [
+    (8, 1000), (12, 100), (12, 300), (12, 1000), (16, 50), (16, 100),
+    (16, 300), (16, 1000), (20, 50), (20, 100), (20, 300), (20, 1000), (20, 20),
+]
+
+
+def _verlinde_sum(g: int, k: int, bits: int) -> int:
+    with mp.workprec(bits):
+        total = mp.fsum(mp.sin(mp.pi * n / (k + 2)) ** (2 - 2 * g) for n in range(1, k + 2))
+        value = (mp.mpf(k + 2) / 2) ** (g - 1) * total
+        nearest = mp.nint(value)
+        assert abs(value - nearest) < mp.mpf(2) ** -32
+        return int(nearest)
+
+
+def _reference_rank(g: int, k: int) -> int:
+    """The Verlinde sum in mpmath, at a precision sized from a bound on its
+    magnitude plus 64 guard bits, confirmed at twice that precision."""
+    magnitude = (
+        (g - 1) * math.log2((k + 2) / 2)
+        + math.log2(k + 1)
+        - (2 * g - 2) * math.log2(math.sin(math.pi / (k + 2)))
+    )
+    bits = max(1, math.ceil(magnitude)) + 64
+    low, high = _verlinde_sum(g, k, bits), _verlinde_sum(g, k, 2 * bits)
+    assert low == high
+    return low
+
+
+@pytest.mark.parametrize("g, k", LARGE_RANKS)
+def test_verlinde_dim_exact_at_large_ranks(g, k):
+    assert verlinde_dim(g, k) == _reference_rank(g, k)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [graph.generate_genus_graphs(4)[-1], graph._necklace_graph(8)],
+    ids=["genus4", "genus5-necklace"],
+)
+def test_verlinde_dim_equals_contraction_high_genus(G):
+    for k in range(0, 9):
+        assert verlinde_dim(G.genus, k) == count_via_contraction(G, k)
