@@ -9,9 +9,11 @@ The higher-rank generalization is modelled by affine multisections of the
 dual fibration: finitely many components b |-> A.b + t (mod Z^g) with A an
 integer matrix and t a rational shift.  The fibres supporting a covariant
 constant section are the solutions of A.b + t = 0 (mod Z^g); for nonsingular
-A there are exactly |det A| of them per component.  The count is read from a
-fraction-free determinant and the points are listed through the Smith normal
-form, so the two cross-check each other; the total matches the topological
+A there are exactly |det A| of them per component.  They form one coset
+-A^-1 t + A^-1 Z^g of the group A^-1 Z^g / Z^g, which has |det A| elements.
+The count is read from a fraction-free determinant and the points are listed
+as that coset, closed under translation by the columns of A^-1 from its base
+point, so the two cross-check each other; the total matches the topological
 intersection number of the multisection with the zero section.  Everything
 in this module is exact integer/rational arithmetic.
 """
@@ -24,7 +26,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-#: bs_points refuses to materialize more labels than this.
+#: bs_points and e_bs_fibres refuse to materialize more points than this.
 DEFAULT_MAX_POINTS = 10**6
 
 
@@ -134,87 +136,6 @@ class AffineMultisection:
                 raise ValueError("component dimension does not match the base")
 
 
-def smith_normal_form(
-    A: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Integer Smith normal form: returns (U, D, V) with U A V = D.
-
-    U and V are unimodular; D is diagonal with non-negative entries and
-    d_1 | d_2 | ... along the diagonal.
-    """
-    a = [[int(x) for x in row] for row in A]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-
-    def add_col(i, j, q):  # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    for t in range(min(n, m)):
-        while True:
-            pivot = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    if a[i][j] != 0 and (
-                        pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            i, j = pivot
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            if a[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, m):
-                if a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility of the remaining block by the pivot.
-            fixed = True
-            for i in range(t + 1, n):
-                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, m)):
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if fixed:
-                break
-    return U, a, V
-
-
 _SINGULAR = (
     "component matrix is singular: fibrewise intersection is "
     "positive-dimensional and the count is undefined in this model"
@@ -245,8 +166,8 @@ def gft_intersection_count(M: AffineMultisection) -> int:
 
     Per component the congruence A.b + t = 0 (mod Z^g) has exactly |det A|
     solutions on the torus; components are summed with multiplicity.  The
-    determinant is computed without the Smith normal form that lists the
-    points, so ``e_bs_fibres`` and this count are independent.
+    determinant is computed without the coset closure that lists the points,
+    so ``e_bs_fibres`` and this count are independent.
     """
     total = 0
     for comp in M.components:
@@ -257,41 +178,68 @@ def gft_intersection_count(M: AffineMultisection) -> int:
     return total
 
 
-def _component_solutions(comp: MultisectionComponent) -> list[tuple[Fraction, ...]]:
-    U, D, V = smith_normal_form([list(row) for row in comp.matrix])
-    diag = [D[i][i] for i in range(len(D))]
-    if 0 in diag:
-        raise SingularComponentError(_SINGULAR)
-    g = len(diag)
-    # Solve D y = -U t (mod Z^g), then map back through b = V y (mod Z^g).
-    s = [
-        -sum(Fraction(U[i][l]) * comp.shift[l] for l in range(g)) for i in range(g)
+def _inverse(matrix: tuple[tuple[int, ...], ...]) -> tuple[list[list[Fraction]], Fraction]:
+    """(A^-1, |det A|) by Gauss-Jordan on [A | I], which leaves [I | A^-1]."""
+    g = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(g)]
+        for i, row in enumerate(matrix)
     ]
-    # Every y_i = (s_i + r_i) / d_i, r_i in [0, d_i), is a multiple of 1/Q for
-    # Q = lcm(den(s_i) * d_i), with numerator base_i + r_i * Q/d_i.  So is
-    # every b = V y mod 1, with numerators V Y mod Q: the points are
-    # enumerated and sorted as integer tuples, and sorting those over one
-    # denominator orders the Fractions the same way.
-    Q = lcm(*(si.denominator * d for si, d in zip(s, diag)))
-    bases = [si.numerator * (Q // (si.denominator * d)) for si, d in zip(s, diag)]
-    numerators = [range(base, base + Q, Q // d) for base, d in zip(bases, diag)]
-    points = sorted(
-        tuple(sum(map(mul, row, Y)) % Q for row in V)
-        for Y in product(*numerators)
-    )
-    return [tuple(Fraction(n, Q) for n in p) for p in points]
+    det = Fraction(1)
+    for c in range(g):
+        p = next((r for r in range(c, g) if rows[r][c]), None)
+        if p is None:
+            raise SingularComponentError(_SINGULAR)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(g):
+            if r != c and (f := rows[r][c]):
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[g:] for row in rows], abs(det)
+
+
+def _coset(
+    inverse: list[list[Fraction]], shift: tuple[Fraction, ...]
+) -> list[tuple[Fraction, ...]]:
+    """The coset -A^-1 t + A^-1 Z^g of A^-1 Z^g / Z^g in [0,1)^g, sorted."""
+    base = [-sum(map(mul, row, shift)) for row in inverse]
+    # Over one common denominator Q the coset is a set of integer tuples mod
+    # Q, and sorting those orders the Fractions the same way.
+    Q = lcm(*(x.denominator for row in [base, *inverse] for x in row))
+    points = [tuple(x.numerator * (Q // x.denominator) % Q for x in base)]
+    seen = set(points)
+    for column in zip(*inverse):
+        step = [x.numerator * (Q // x.denominator) for x in column]
+        # Translates of a coset are equal to it or disjoint from it, so the
+        # first translate whose base point is already seen closes the orbit.
+        coset = points
+        while True:
+            coset = [tuple((a + s) % Q for a, s in zip(p, step)) for p in coset]
+            if coset[0] in seen:
+                break
+            seen.update(coset)
+            points.extend(coset)
+    return [tuple(Fraction(n, Q) for n in p) for p in sorted(points)]
 
 
 def e_bs_fibres(M: AffineMultisection) -> list[tuple[tuple[Fraction, ...], int]]:
     """Explicit solution set: (base point in [0,1)^g, component index) pairs.
 
     Base points shared by several components appear once per component, so
-    the list length equals ``gft_intersection_count``.
+    the list length equals ``gft_intersection_count``.  Each component has
+    |det A| points; a total above ``DEFAULT_MAX_POINTS`` raises
+    ``BudgetExceeded`` before the component that passes it is listed.
     """
     out: list[tuple[tuple[Fraction, ...], int]] = []
     for idx, comp in enumerate(M.components):
-        for point in _component_solutions(comp):
-            out.append((point, idx))
+        inverse, size = _inverse(comp.matrix)
+        if len(out) + size > DEFAULT_MAX_POINTS:
+            raise BudgetExceeded(
+                f"{len(out) + size} fibres exceed the budget of {DEFAULT_MAX_POINTS}"
+            )
+        out += [(point, idx) for point in _coset(inverse, comp.shift)]
     return out
 
 

@@ -136,6 +136,8 @@ def cmd_verlinde(args) -> RunReport:
 
 
 def cmd_check(args) -> RunReport:
+    if args.max_level < 0:
+        raise ValueError("--max-level must be non-negative")
     report = RunReport(
         "check", {"genus": args.genus, "max_level": args.max_level}
     )

@@ -17,10 +17,10 @@ point form an interval, cut to one parity class by the vertices that
 complete there, so the next frontier is a repeat of arithmetic progressions
 and the last coordinate is summed in closed form.  Frontiers are expanded
 depth-first in bounded slices, in int64 under a checked magnitude bound.
-The parity condition thins the full (1/k)-lattice by 2^r, r the GF(2) rank of
-the parity system, so the counts grow as volume / 2^r times k^dim, with the
-volume in closed form (``moment_volume``); ``asymptotic_table`` checks this
-exactly on the count polynomial.
+The parity condition thins the full (1/k)-lattice by 2^r, r = V - 1 the GF(2)
+rank of the parity system, so the counts grow as volume / 2^r times k^dim,
+with the volume in closed form (``moment_volume``); ``asymptotic_table``
+checks this exactly on the count polynomial.
 """
 
 from __future__ import annotations
@@ -413,27 +413,6 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     return expand(0, np.zeros((1, 0), dtype=np.int64))
 
 
-def parity_rank(G: TrinionGraph) -> int:
-    """GF(2) rank of the per-vertex parity system (loops contribute 0 mod 2)."""
-    rows = []
-    for triple in G.vertex_edge_triples():
-        mask = 0
-        for e in set(triple):
-            if triple.count(e) % 2 == 1:
-                mask |= 1 << e
-        rows.append(mask)
-    rank = 0
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class AsymptoticRow:
     level: int
@@ -511,7 +490,9 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
     if k_max >= 3:
         limit = _fit_limit([(r.level, r.ratio) for r in rows[-3:]])
     vol = moment_volume(G.genus)
-    r = parity_rank(G)
+    # The parity rows are the GF(2) vertex-edge incidence matrix with loops
+    # dropped; a connected graph's has rank V - 1.
+    r = G.vertex_count - 1
     return AsymptoticTable(
         dimension=d,
         rows=tuple(rows),

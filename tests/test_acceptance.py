@@ -191,7 +191,7 @@ def test_criterion_7_gft_counts():
             assert n == len(abelian.e_bs_fibres(M))
             counts.add(n)
         assert counts == {abs(d)}, "count must be shift-invariant and equal |det|"
-    _finish(7, "10 random matrices (|det| <= 24): SNF count = brute force, shift-invariant", start)
+    _finish(7, "10 random matrices (|det| <= 24): fibre count = brute force, shift-invariant", start)
 
 
 def test_criterion_8_fusion_ring_soundness():

@@ -206,6 +206,13 @@ def test_check_trivial_level_zero(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_check_rejects_negative_max_level(capsys):
+    code, out, err = run_cli(capsys, "check", "--genus", "2", "--max-level", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --max-level must be non-negative\n"
+
+
 def test_check_reports_first_discrepancy(capsys, monkeypatch):
     # Sabotage one route to verify the failure contract: nonzero exit and a
     # first-discrepancy line on stderr.
@@ -464,6 +471,26 @@ def test_abelian_singular_multisection_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "abelian", "--multisection", str(path))
     assert code == 1
     assert "singular" in err
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        [{"A": [[4, 1], [1, 4]], "t": ["0", "0"]}],
+        [{"A": [[2, 0], [0, 4]], "t": ["0", "1/2"]}] * 2,
+        [{"A": [[10**9, 0], [0, 10**9]], "t": ["0", "0"]}],
+    ],
+)
+def test_abelian_multisection_over_budget_fails(tmp_path, capsys, monkeypatch, components):
+    # 15 fibres in one component, or 8 + 8 over two, pass a budget of 10; the
+    # budget is checked before listing, so 10^18 fibres fail as fast.
+    monkeypatch.setattr(cli.abelian_mod, "DEFAULT_MAX_POINTS", 10)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"g": 2, "components": components}))
+    code, out, err = run_cli(capsys, "abelian", "--multisection", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "budget of 10" in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from verlinde_lab.polytope import (
     lattice_count,
     mc_volume,
     moment_volume,
-    parity_rank,
     to_json_dict,
 )
 from verlinde_lab.weights import (
@@ -511,13 +510,6 @@ def test_lattice_refinement_under_doubling(k):
             assert tuple(2 * j for j in labels) in fine
 
 
-def test_parity_rank_values():
-    assert parity_rank(THETA) == 1
-    assert parity_rank(DUMBBELL) == 1
-    for G in generate_genus_graphs(3):
-        assert parity_rank(G) == 3  # vertex count minus one, loops dropping out
-
-
 # ---------------------------------------------------------------------------
 # Asymptotics
 # ---------------------------------------------------------------------------
@@ -589,13 +581,15 @@ def test_asymptotic_rejects_non_polynomial_counts(monkeypatch, node):
 
 def test_asymptotic_leading_coefficients_through_genus_six():
     cases = [
-        (THETA, Fraction(1, 6)),
-        (graph._necklace_graph(8), Fraction(1, 75600)),
-        (graph._necklace_graph(10), Fraction(1, 1496880)),
+        (THETA, Fraction(1, 6), 1),
+        (generate_genus_graphs(3)[0], Fraction(1, 180), 3),
+        (graph._necklace_graph(8), Fraction(1, 75600), 7),
+        (graph._necklace_graph(10), Fraction(1, 1496880), 9),
     ]
-    for G, want in cases:
+    for G, want, rank in cases:
         table = asymptotic_table(G, 3)
         assert table.leading_coefficient == want == table.volume_parity_corrected
+        assert table.parity_rank == rank
 
 
 def test_moment_volume_closed_form():
