@@ -97,10 +97,12 @@ def cmd_graphs(args) -> RunReport:
     return report
 
 
-def _count_one(G: graph.TrinionGraph, level: int, method: str, args) -> int:
+def _count_one(G: graph.TrinionGraph, level: int, method: str, args, stats: dict) -> int:
     if method == "brute":
         return weights.count_admissible_bruteforce(G, level, max_states=args.max_states)
-    return weights.count_via_contraction(G, level, max_frontier=args.max_frontier)
+    return weights.count_via_contraction(
+        G, level, max_frontier=args.max_frontier, stats=stats
+    )
 
 
 def cmd_count(args) -> RunReport:
@@ -113,13 +115,14 @@ def cmd_count(args) -> RunReport:
             "method": args.method,
         },
     )
-    pairs = _graphs_for(args)
-    counts = [_count_one(G, args.level, args.method, args) for _, G in pairs]
-    table = [
-        {"graph": ident, "count": n} for (ident, _), n in zip(pairs, counts)
-    ]
+    table = []
+    for ident, G in _graphs_for(args):
+        stats: dict = {}
+        n = _count_one(G, args.level, args.method, args, stats)
+        table.append({"graph": ident, "count": n, **stats})
+    counts = [row["count"] for row in table]
     report.outputs["per_graph"] = table
-    if len(pairs) > 1:
+    if len(table) > 1:
         identical = len(set(counts)) == 1
         report.add_check("graph-independence", identical, counts=sorted(set(counts)))
         if identical:

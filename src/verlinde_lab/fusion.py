@@ -166,9 +166,16 @@ def character_homomorphism_check(k: int, z: CharacterPoint, m1: int, m2: int) ->
         return float(abs(lhs - rhs))
 
 
-def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Product of two power series, truncated to the length of ``a``."""
-    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
+def _series_power(a: list[Fraction], e: int) -> list[Fraction]:
+    """a^e for a power series with a[0] = 1, truncated to the length of ``a``.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): p_0 = 1 and
+    p_i = (1/i) sum_{j=1..i} ((e+1) j - i) a_j p_(i-j), from p' a = e p a'.
+    """
+    p = [Fraction(1)]
+    for i in range(1, len(a)):
+        p.append(sum(((e + 1) * j - i) * a[j] * p[i - j] for j in range(1, i + 1)) / i)
+    return p
 
 
 def verlinde_dim(g: int, k: int) -> int:
@@ -197,11 +204,7 @@ def verlinde_dim(g: int, k: int) -> int:
     bernoulli = [Fraction(*map(int, mp.bernfrac(2 * i))) / factorial(2 * i) for i in range(m + 1)]
     x_cot = [(-4) ** i * b for i, b in enumerate(bernoulli)]
     x_csc = [(-1) ** (i + 1) * (4**i - 2) * b for i, b in enumerate(bernoulli)]
-    power = [Fraction(1)] + [Fraction(0)] * m
-    for bit in bin(2 * m)[2:]:
-        power = _truncated_product(power, power)
-        if bit == "1":
-            power = _truncated_product(power, x_csc)
+    power = _series_power(x_csc, 2 * m)
     total = -sum(c * n ** (2 * i) * p for i, (c, p) in enumerate(zip(x_cot, reversed(power))))
     value = total * n**m / 2**m
     if value.denominator != 1:

@@ -21,12 +21,12 @@ counted; the counts here are strict.
 Two routes count the admissible assignments.  count_admissible_bruteforce
 is a pruned depth-first enumeration and serves as the oracle.
 count_via_contraction gives every vertex a dense 0/1 numpy tensor over its
-edge labels and merges the tensors pairwise with np.tensordot, in a greedy
-order that keeps the fewest edges open.  It computes in int64 when
-(k+1)^E < 2^63, a bound no count it forms can exceed, and in exact Python
-ints (dtype=object) otherwise.  Each tensor's (k+1)^width cells are checked
-against a budget before it is allocated; the default of 10^7 cells holds one
-int64 tensor to about 80 MB.
+edge labels and merges the tensors pairwise with np.einsum, in a greedy
+order that keeps the fewest edges open.  It computes in float64, which is
+exact while every count stays below 2^53, and switches to exact Python ints
+(dtype=object) at the first merge whose result reaches 2^53.  Each tensor's
+(k+1)^width cells are checked against a budget before it is allocated; the
+default of 10^7 cells holds one tensor, at 8 bytes a cell, to about 80 MB.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ DEFAULT_MAX_STATES = 10**7
 
 #: Contraction refuses when any tensor frontier needs more than this many cells.
 DEFAULT_MAX_FRONTIER = 10**7
+
+# float64 holds every integer below 2^53 exactly; contraction leaves it at
+# the first merge that reaches this.
+_FLOAT_EXACT_LIMIT = 2**53
 
 
 class WorkBoundExceeded(RuntimeError):
@@ -201,17 +205,8 @@ def count_admissible_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def _contraction_dtype(G: TrinionGraph, k: int):
-    """int64 when (k+1)^E < 2^63, else object (exact Python ints).
-
-    Every tensor entry, and every partial sum formed while contracting,
-    counts labelings of a subset of G's edges, so it is at most (k+1)^E.
-    """
-    return np.int64 if (k + 1) ** G.edge_count < 2**63 else object
-
-
-def _vertex_tensor(width: int, k: int, dtype):
-    """0/1 admissibility tensor of a vertex with ``width`` open edges.
+def _vertex_tensor(width: int, k: int) -> np.ndarray:
+    """0/1 admissibility tensor, in float64, of a vertex with ``width`` open edges.
 
     A plain vertex has three open edges; the tensor is symmetric, so any
     axis order serves.  A loop vertex (l, l, t) is summed over l at once:
@@ -220,7 +215,7 @@ def _vertex_tensor(width: int, k: int, dtype):
     """
     j = np.arange(k + 1)
     if width == 1:
-        return np.where(j % 2 == 0, k + 1 - j, 0).astype(dtype, copy=False)
+        return np.where(j % 2 == 0, k + 1.0 - j, 0.0)
     a, b = j[:, None], j[None, :]
     # The third label c runs from |a - b| to min(a + b, 2k - a - b) in steps
     # of 2; the bounds are built on the (a, b) plane so that every 3-D
@@ -229,46 +224,90 @@ def _vertex_tensor(width: int, k: int, dtype):
     hi = np.minimum(a + b, 2 * k - a - b)[..., None]
     parity = ((a + b) % 2)[..., None]
     ok = (lo <= j) & (j <= hi) & (j % 2 == parity)
-    # Through int64, so that the object path holds Python ints, not bools.
-    return ok.astype(np.int64).astype(dtype, copy=False)
+    return ok.astype(np.float64)
+
+
+def _to_int(tensor):
+    """Exact Python ints (dtype=object) from a float64 tensor of integers below 2^53."""
+    return tensor.astype(np.int64).astype(object)
+
+
+def _merge(edges_a: tuple, a, edges_b: tuple, b):
+    """Sum a * b over their shared edges; returns (open edges, tensor).
+
+    One ``np.einsum`` call in sublist form.  Subscripts are numbered per
+    merge, since einsum accepts at most 52 of them, and its default
+    ``optimize=False`` keeps it off BLAS.
+    """
+    sub = {e: n for n, e in enumerate(dict.fromkeys(edges_a + edges_b))}
+    out = tuple(e for e in edges_a + edges_b if (e in edges_a) != (e in edges_b))
+    merged = np.einsum(
+        a, [sub[e] for e in edges_a], b, [sub[e] for e in edges_b], [sub[e] for e in out]
+    )
+    return out, merged
 
 
 def count_via_contraction(
-    G: TrinionGraph, k: int, max_frontier: int = DEFAULT_MAX_FRONTIER
+    G: TrinionGraph,
+    k: int,
+    max_frontier: int = DEFAULT_MAX_FRONTIER,
+    stats: dict | None = None,
 ) -> int:
     """Exact |W_g^k| by contracting per-vertex admissibility tensors.
 
     Each vertex contributes a dense 0/1 numpy tensor over its open edges.
-    Tensors are merged pairwise, one ``np.tensordot`` over their shared
-    edges per step, in a greedy order: the pair whose merge leaves the fewest
-    open edges, ties broken by list position.  Before any tensor is built,
-    its (k+1)^width cells are checked against ``max_frontier``; the default
-    budget of 10^7 cells bounds one int64 frontier at about 80 MB.  Entries
-    are int64 when (k+1)^E < 2^63, which no count can then exceed, and
-    exact Python ints (``dtype=object``) otherwise.  Agrees with
+    Tensors are merged pairwise, one ``np.einsum`` over their shared edges
+    per step, in a greedy order: the pair whose merge leaves the fewest open
+    edges, ties broken by list position.  Before any tensor is built, its
+    (k+1)^width cells are checked against ``max_frontier``; the default
+    budget of 10^7 cells bounds one frontier at about 80 MB.  Agrees with
     count_admissible_bruteforce by construction of the vertex tensors.
+
+    Merges run in float64 until the first merge whose largest entry reaches
+    2^53.  That merge is redone, and every later one done, in exact Python
+    ints (``dtype=object``); earlier results are kept.  This is exact: every
+    entry, and every product and partial sum einsum forms on the way to it,
+    in whatever order, is a non-negative count of labelings, and float64
+    rounding is monotone.  A true partial sum of 2^53 or more therefore
+    rounds to 2^53 or more, the terms added after it are non-negative, and
+    the entry computes to 2^53 or more and trips the switch.  If instead
+    every computed entry is below 2^53, so is every true entry and every
+    true partial sum below it: integers that float64 holds exactly, so
+    nothing was rounded.
+
+    A ``stats`` dict, if given, receives ``peak_cells``, the cell count of
+    the largest tensor built, and ``int_from_merge``, the 0-based index of
+    the first merge done in Python ints, or None if all ran in float64.
     """
     if k < 0:
         raise ValueError("level must be non-negative")
+    peak = 0
 
     def check_budget(width: int):
+        nonlocal peak
         need = (k + 1) ** width
         if need > max_frontier:
             raise FrontierBudgetExceeded(
                 f"frontier of {width} open edges needs (k+1)^{width} = {need} "
                 f"cells; budget is {max_frontier}"
             )
+        peak = max(peak, need)
 
-    dtype = _contraction_dtype(G, k)
+    # Vertex tensors depend on the width alone, and merges never write to
+    # their operands, so vertices of one width share a single array.
+    built: dict[int, np.ndarray] = {}
     tensors = []
     for triple in G.vertex_edge_triples():
         # A loop's label is summed inside its vertex tensor, so only edges
         # that appear once in the triple stay open.
         edges = tuple(e for e in sorted(set(triple)) if triple.count(e) == 1)
         check_budget(len(edges))
-        tensors.append((edges, _vertex_tensor(len(edges), k, dtype)))
+        if len(edges) not in built:
+            built[len(edges)] = _vertex_tensor(len(edges), k)
+        tensors.append((edges, built[len(edges)]))
 
-    while len(tensors) > 1:
+    int_from = None
+    for step in range(len(tensors) - 1):
         best = None
         for i in range(len(tensors)):
             for j in range(i + 1, len(tensors)):
@@ -282,13 +321,17 @@ def count_via_contraction(
         width, i, j = best
         check_budget(width)
         (edges_a, a), (edges_b, b) = tensors[i], tensors[j]
-        shared = [e for e in edges_a if e in edges_b]
-        axes = ([edges_a.index(e) for e in shared], [edges_b.index(e) for e in shared])
-        merged = np.tensordot(a, b, axes=axes)
         tensors = [t for idx, t in enumerate(tensors) if idx not in (i, j)]
-        tensors.append((tuple(e for e in edges_a + edges_b if e not in shared), merged))
+        edges, merged = _merge(edges_a, a, edges_b, b)
+        if int_from is None and merged.max() >= _FLOAT_EXACT_LIMIT:
+            int_from = step
+            tensors = [(e, _to_int(t)) for e, t in tensors]
+            edges, merged = _merge(edges_a, _to_int(a), edges_b, _to_int(b))
+        tensors.append((edges, merged))
 
+    if stats is not None:
+        stats["peak_cells"] = peak
+        stats["int_from_merge"] = int_from
     edges, final = tensors[0]
     assert edges == ()
     return int(final)
-

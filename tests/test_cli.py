@@ -94,6 +94,22 @@ def test_count_methods_agree(capsys):
     assert brute["outputs"]["count"] == contract["outputs"]["count"] == 20
 
 
+def test_count_reports_contraction_counters(capsys):
+    _, report, _ = run_json(capsys, "count", "--genus", "2", "--level", "3")
+    rows = {row["graph"]: row for row in report["outputs"]["per_graph"]}
+    assert rows["theta"] == {
+        "graph": "theta", "count": 20, "peak_cells": 64, "int_from_merge": None
+    }
+    assert rows["dumbbell"]["peak_cells"] == 4 and rows["dumbbell"]["int_from_merge"] is None
+    # The counters are deterministic, so two reports diff clean.
+    _, again, _ = run_json(capsys, "count", "--genus", "2", "--level", "3")
+    assert again["outputs"] == report["outputs"]
+    _, brute, _ = run_json(
+        capsys, "count", "--genus", "2", "--level", "3", "--method", "brute"
+    )
+    assert all(set(row) == {"graph", "count"} for row in brute["outputs"]["per_graph"])
+
+
 def test_count_graph_file(tmp_path, capsys):
     path = tmp_path / "t.trinion.json"
     save_graph(theta_graph(), path)
@@ -168,13 +184,13 @@ def test_verlinde_large_rank_exact(capsys):
 
 def test_verlinde_non_integer_rank_is_an_error(capsys, monkeypatch):
     # A corrupted series must end the run with an error, never a rounded integer.
-    real = cli.fusion._truncated_product
+    real = cli.fusion._series_power
 
-    def off_by_a_third(a, b):
-        out = real(a, b)
+    def off_by_a_third(a, e):
+        out = real(a, e)
         return [out[0] + Fraction(1, 3), *out[1:]]
 
-    monkeypatch.setattr(cli.fusion, "_truncated_product", off_by_a_third)
+    monkeypatch.setattr(cli.fusion, "_series_power", off_by_a_third)
     code, out, err = run_cli(capsys, "verlinde", "--genus", "2", "--level", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: Verlinde rank for g=2, k=1 is ")

@@ -2,12 +2,12 @@
 
 from itertools import product
 
-import numpy as np
 import pytest
 
 from verlinde_lab import weights
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
+    _necklace_graph,
     dumbbell_graph,
     fusion_move,
     generate_genus_graphs,
@@ -168,21 +168,46 @@ def test_contraction_equals_bruteforce_all_desk_graphs(k):
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_contraction_exact_path_equals_bruteforce(k, monkeypatch):
-    # Force the dtype=object path that levels with (k+1)^E >= 2^63 take.
-    monkeypatch.setattr(weights, "_contraction_dtype", lambda G, k: object)
+    # A bound of 1 sends the first merge, and every later one, to Python ints.
+    monkeypatch.setattr(weights, "_FLOAT_EXACT_LIMIT", 1)
     for g in (2, 3):
         for G in generate_genus_graphs(g):
-            count = count_via_contraction(G, k)
+            stats: dict = {}
+            count = count_via_contraction(G, k, stats=stats)
+            assert stats["int_from_merge"] == 0
             assert type(count) is int
             assert count == count_admissible_bruteforce(G, k)
 
 
-def test_contraction_dtype_boundary():
-    # Genus 4 has E = 9 edges: 127^9 < 2^63 <= 128^9.
-    G = generate_genus_graphs(4)[0]
-    assert G.edge_count == 9
-    assert weights._contraction_dtype(G, 126) is np.int64
-    assert weights._contraction_dtype(G, 127) is object
+def test_contraction_switches_to_ints_past_two_pow_53():
+    # Both counts reach 2^53, where float64 alone rounds them.
+    for G, k, last_merge in ((_necklace_graph(12), 20, 10), (_necklace_graph(14), 16, 12)):
+        stats: dict = {}
+        count = count_via_contraction(G, k, stats=stats)
+        assert type(count) is int
+        assert count == verlinde_dim(G.genus, k) >= 2**53
+        assert stats["int_from_merge"] == last_merge == G.vertex_count - 2
+
+
+def test_contraction_genus_five_level_forty_stays_float():
+    G = _necklace_graph(8)
+    stats: dict = {}
+    count = count_via_contraction(G, 40, stats=stats)
+    assert type(count) is int
+    assert count == verlinde_dim(5, 40) == 401562940621745
+    assert stats["int_from_merge"] is None
+
+
+def test_contraction_stats():
+    stats: dict = {}
+    count_via_contraction(THETA, 50, stats=stats)
+    assert stats == {"peak_cells": 51**3, "int_from_merge": None}
+    runs = []
+    for _ in range(2):
+        stats = {}
+        count_via_contraction(_necklace_graph(12), 20, stats=stats)
+        runs.append(stats)
+    assert runs[0] == runs[1] == {"peak_cells": 21**3, "int_from_merge": 10}
 
 
 def test_contraction_theta_level_fifty_matches_verlinde():
