@@ -97,14 +97,6 @@ def cmd_graphs(args) -> RunReport:
     return report
 
 
-def _count_one(G: graph.TrinionGraph, level: int, method: str, args, stats: dict) -> int:
-    if method == "brute":
-        return weights.count_admissible_bruteforce(G, level, max_states=args.max_states)
-    return weights.count_via_contraction(
-        G, level, max_frontier=args.max_frontier, stats=stats
-    )
-
-
 def cmd_count(args) -> RunReport:
     report = RunReport(
         "count",
@@ -118,16 +110,21 @@ def cmd_count(args) -> RunReport:
     table = []
     for ident, G in _graphs_for(args):
         stats: dict = {}
-        n = _count_one(G, args.level, args.method, args, stats)
+        if args.method == "brute":
+            n = weights.count_admissible_bruteforce(
+                G, args.level, max_states=args.max_states
+            )
+        else:
+            n = weights.count_via_contraction(
+                G, args.level, max_frontier=args.max_frontier, stats=stats
+            )
         table.append({"graph": ident, "count": n, **stats})
     counts = [row["count"] for row in table]
     report.outputs["per_graph"] = table
+    distinct = sorted(set(counts))
     if len(table) > 1:
-        identical = len(set(counts)) == 1
-        report.add_check("graph-independence", identical, counts=sorted(set(counts)))
-        if identical:
-            report.outputs["count"] = counts[0]
-    else:
+        report.add_check("graph-independence", len(distinct) == 1, counts=distinct)
+    if len(distinct) == 1:
         report.outputs["count"] = counts[0]
     return report
 
@@ -139,64 +136,54 @@ def cmd_verlinde(args) -> RunReport:
 
 
 def cmd_check(args) -> RunReport:
+    """Reconcile every route's rank at each level 0..--max-level.
+
+    Per level k: graph-independence[k] and contraction-equals-verlinde[k],
+    then per graph one <route>-equals-contraction[k,graph] check for each
+    route that applies: brute within --max-states, lattice at k >= 1.
+    first_discrepancy is the first failed check's name and its details.
+    """
     if args.max_level < 0:
         raise ValueError("--max-level must be non-negative")
-    report = RunReport(
-        "check", {"genus": args.genus, "max_level": args.max_level}
-    )
-    pairs = _graphs_for(args)
-    polytopes = {ident: polytope.build_polytope(G) for ident, G in pairs}
-    levels = list(range(args.max_level + 1))
-    first_discrepancy = None
-    for k in levels:
+    report = RunReport("check", {"genus": args.genus, "max_level": args.max_level})
+    graphs = [(ident, G, polytope.build_polytope(G)) for ident, G in _graphs_for(args)]
+    for k in range(args.max_level + 1):
         dim = fusion.verlinde_dim(args.genus, k)
         counts = {
             ident: weights.count_via_contraction(G, k, max_frontier=args.max_frontier)
-            for ident, G in pairs
+            for ident, G, _ in graphs
         }
-        agree_graphs = len(set(counts.values())) == 1
-        agree_verlinde = all(n == dim for n in counts.values())
-        report.add_check(f"graph-independence[k={k}]", agree_graphs, counts=counts)
+        report.add_check(
+            f"graph-independence[k={k}]", len(set(counts.values())) == 1, counts=counts
+        )
         report.add_check(
             f"contraction-equals-verlinde[k={k}]",
-            agree_verlinde,
+            all(n == dim for n in counts.values()),
             verlinde=dim,
             counts=counts,
         )
-        if not (agree_graphs and agree_verlinde) and first_discrepancy is None:
-            first_discrepancy = f"k={k}: verlinde={dim}, counts={counts}"
-        for ident, G in pairs:
-            states = (k + 1) ** G.edge_count
-            if states <= args.max_states:
-                brute = weights.count_admissible_bruteforce(
+        for ident, G, P in graphs:
+            routes = {}
+            if (k + 1) ** G.edge_count <= args.max_states:
+                routes["brute"] = weights.count_admissible_bruteforce(
                     G, k, max_states=args.max_states
                 )
-                ok = brute == counts[ident]
-                report.add_check(
-                    f"brute-equals-contraction[k={k},{ident}]",
-                    ok,
-                    brute=brute,
-                    contraction=counts[ident],
-                )
-                if not ok and first_discrepancy is None:
-                    first_discrepancy = (
-                        f"k={k} {ident}: brute={brute} contraction={counts[ident]}"
-                    )
             if k >= 1:
-                lat = polytope.lattice_count(polytopes[ident], G, k)
-                ok = lat == counts[ident]
+                routes["lattice"] = polytope.lattice_count(P, G, k)
+            for route, n in routes.items():
                 report.add_check(
-                    f"lattice-equals-contraction[k={k},{ident}]",
-                    ok,
-                    lattice=lat,
-                    contraction=counts[ident],
+                    f"{route}-equals-contraction[k={k},{ident}]",
+                    n == counts[ident],
+                    **{route: n, "contraction": counts[ident]},
                 )
-                if not ok and first_discrepancy is None:
-                    first_discrepancy = (
-                        f"k={k} {ident}: lattice={lat} contraction={counts[ident]}"
-                    )
-    if first_discrepancy:
-        report.outputs["first_discrepancy"] = first_discrepancy
+    first = next((c for c in report.checks if not c["passed"]), None)
+    if first is not None:
+        details = ", ".join(
+            f"{key}={value}"
+            for key, value in first.items()
+            if key not in ("name", "passed")
+        )
+        report.outputs["first_discrepancy"] = f"{first['name']}: {details}"
     return report
 
 

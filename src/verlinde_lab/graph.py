@@ -178,6 +178,25 @@ def connected_edge_order(G: TrinionGraph) -> list[int]:
     return order
 
 
+def can_recurse(frames: int) -> bool:
+    """Whether the caller can still call ``frames`` nested Python frames.
+
+    The counting routes that label edges in ``connected_edge_order`` recurse
+    one frame per edge; they ask this before they start.  It is measured by
+    nesting that many calls, since the C calls between Python frames count
+    against ``sys.getrecursionlimit()`` on some Python versions, unseen by
+    the frame stack.
+    """
+
+    def nest(n: int) -> bool:
+        return n <= 1 or nest(n - 1)
+
+    try:
+        return nest(frames - 1)
+    except RecursionError:
+        return False
+
+
 def _canonical_key(loops: list[int], mult: list[list[int]], V: int) -> tuple[int, ...]:
     """Lexicographically minimal flattened adjacency data over vertex orderings.
 

@@ -25,6 +25,7 @@ checks this exactly on the count polynomial.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,7 @@ from math import comb, factorial, gcd, lcm
 import mpmath
 import numpy as np
 
-from verlinde_lab.graph import TrinionGraph, connected_edge_order
+from verlinde_lab.graph import TrinionGraph, can_recurse, connected_edge_order
 from verlinde_lab.weights import count_via_contraction
 
 #: exact_volume is a recursive boundary integration; cap the dimension.
@@ -300,13 +301,22 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
     and the last coordinate is counted, not materialised.  Frontiers are
     expanded depth-first in slices of at most ``_LATTICE_CHUNK`` label cells,
     so memory stays bounded at any level and genus.  Arithmetic is int64;
-    rows whose magnitude could reach 2^62 raise ValueError before counting.
+    rows whose magnitude could reach 2^62 raise ValueError before counting,
+    and so does an edge count whose recursion, one frame per coordinate,
+    would pass Python's recursion limit.
     """
     if k < 1:
         raise ValueError("level must be at least 1")
     d = P.dim
     if d != G.edge_count:
         raise ValueError("polytope dimension does not match the graph's edge count")
+    # expand() once per coordinate, then admitted() and numpy's frames under it.
+    if not can_recurse(d + 5):
+        raise ValueError(
+            f"lattice_count recurses once per coordinate: E = {d} edges need "
+            f"{d + 5} nested frames, more than the recursion limit "
+            f"{sys.getrecursionlimit()} leaves"
+        )
     # Rows A . j <= B over the integer labels j = k*c.
     rows = [(ia, ib * k) for ia, ib in P.integer_rows]
     # Each coordinate's label box, from the rows that bound it alone.

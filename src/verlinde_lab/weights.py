@@ -31,11 +31,12 @@ default of 10^7 cells holds one tensor, at 8 bytes a cell, to about 80 MB.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from verlinde_lab.graph import TrinionGraph, connected_edge_order
+from verlinde_lab.graph import TrinionGraph, can_recurse, connected_edge_order
 
 #: Enumeration refuses when the raw label space (k+1)^E exceeds this.
 DEFAULT_MAX_STATES = 10**7
@@ -49,7 +50,7 @@ _FLOAT_EXACT_LIMIT = 2**53
 
 
 class WorkBoundExceeded(RuntimeError):
-    """Raised when brute-force enumeration would exceed its state budget."""
+    """Raised when brute-force enumeration would exceed its state budget or stack."""
 
 
 class FrontierBudgetExceeded(RuntimeError):
@@ -130,6 +131,13 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
     """
     _check_state_budget(G, k, max_states)
     E = G.edge_count
+    # rec(0) .. rec(E), plus the call the deepest frame makes.
+    if not can_recurse(E + 2):
+        raise WorkBoundExceeded(
+            f"depth-first enumeration recurses once per edge: E = {E} edges "
+            f"need {E + 2} nested frames, more than the recursion limit "
+            f"{sys.getrecursionlimit()} leaves; use count_via_contraction instead"
+        )
     order = connected_edge_order(G)
     pos = {e: t for t, e in enumerate(order)}
     # Per depth t, the vertices whose last label is order[t] (checked in

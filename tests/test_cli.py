@@ -11,7 +11,7 @@ import pytest
 from verlinde_lab import cli
 from verlinde_lab.abelian import AffineMultisection, MultisectionComponent
 from verlinde_lab.abelian import to_json_dict as multisection_json
-from verlinde_lab.graph import save_graph, theta_graph
+from verlinde_lab.graph import _necklace_graph, save_graph, theta_graph
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +155,20 @@ def test_count_work_bound_error(capsys):
     assert "count_via_contraction" in err
 
 
+def test_count_brute_deep_graph_is_an_error(tmp_path, capsys):
+    # At k = 0 the state budget admits any graph, (0+1)^E = 1, but the DFS
+    # recurses once per edge: genus 400 has E = 1197, past the recursion limit.
+    path = tmp_path / "necklace.trinion.json"
+    save_graph(_necklace_graph(798), path)
+    code, out, err = run_cli(
+        capsys, "count", "--graph", str(path), "--level", "0", "--method", "brute"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: depth-first enumeration recurses once per edge: ")
+    assert "E = 1197 edges" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verlinde / check
 # ---------------------------------------------------------------------------
@@ -229,22 +243,87 @@ def test_check_rejects_negative_max_level(capsys):
     assert err == "error: --max-level must be non-negative\n"
 
 
-def test_check_reports_first_discrepancy(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "max_states, expected",
+    [
+        (
+            None,
+            [
+                ("graph-independence[k=0]", ["counts"]),
+                ("contraction-equals-verlinde[k=0]", ["verlinde", "counts"]),
+                ("brute-equals-contraction[k=0,theta]", ["brute", "contraction"]),
+                ("brute-equals-contraction[k=0,dumbbell]", ["brute", "contraction"]),
+                ("graph-independence[k=1]", ["counts"]),
+                ("contraction-equals-verlinde[k=1]", ["verlinde", "counts"]),
+                ("brute-equals-contraction[k=1,theta]", ["brute", "contraction"]),
+                ("lattice-equals-contraction[k=1,theta]", ["lattice", "contraction"]),
+                ("brute-equals-contraction[k=1,dumbbell]", ["brute", "contraction"]),
+                ("lattice-equals-contraction[k=1,dumbbell]", ["lattice", "contraction"]),
+                ("graph-independence[k=2]", ["counts"]),
+                ("contraction-equals-verlinde[k=2]", ["verlinde", "counts"]),
+                ("brute-equals-contraction[k=2,theta]", ["brute", "contraction"]),
+                ("lattice-equals-contraction[k=2,theta]", ["lattice", "contraction"]),
+                ("brute-equals-contraction[k=2,dumbbell]", ["brute", "contraction"]),
+                ("lattice-equals-contraction[k=2,dumbbell]", ["lattice", "contraction"]),
+            ],
+        ),
+        (
+            # (k+1)^3 <= 1 only at k = 0: brute drops out above it.
+            "1",
+            [
+                ("graph-independence[k=0]", ["counts"]),
+                ("contraction-equals-verlinde[k=0]", ["verlinde", "counts"]),
+                ("brute-equals-contraction[k=0,theta]", ["brute", "contraction"]),
+                ("brute-equals-contraction[k=0,dumbbell]", ["brute", "contraction"]),
+                ("graph-independence[k=1]", ["counts"]),
+                ("contraction-equals-verlinde[k=1]", ["verlinde", "counts"]),
+                ("lattice-equals-contraction[k=1,theta]", ["lattice", "contraction"]),
+                ("lattice-equals-contraction[k=1,dumbbell]", ["lattice", "contraction"]),
+                ("graph-independence[k=2]", ["counts"]),
+                ("contraction-equals-verlinde[k=2]", ["verlinde", "counts"]),
+                ("lattice-equals-contraction[k=2,theta]", ["lattice", "contraction"]),
+                ("lattice-equals-contraction[k=2,dumbbell]", ["lattice", "contraction"]),
+            ],
+        ),
+    ],
+    ids=["default-max-states", "max-states-1"],
+)
+def test_check_emits_checks_in_order(capsys, max_states, expected):
+    argv = ["check", "--genus", "2", "--max-level", "2"]
+    if max_states is not None:
+        argv += ["--max-states", max_states]
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert [(c["name"], list(c)[2:]) for c in report["checks"]] == expected
+    assert all(list(c)[:2] == ["name", "passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "module, route, first",
+    [
+        ("weights", "count_via_contraction", "contraction-equals-verlinde[k=2]"),
+        ("weights", "count_admissible_bruteforce", "brute-equals-contraction[k=2,theta]"),
+        ("polytope", "lattice_count", "lattice-equals-contraction[k=2,theta]"),
+    ],
+    ids=["contraction", "brute", "lattice"],
+)
+def test_check_reports_first_discrepancy(capsys, monkeypatch, module, route, first):
     # Sabotage one route to verify the failure contract: nonzero exit and a
-    # first-discrepancy line on stderr.
-    real = cli.weights.count_via_contraction
+    # first-discrepancy line on stderr.  Every route takes the level last.
+    real = getattr(getattr(cli, module), route)
 
-    def wrong(G, k, **kwargs):
-        value = real(G, k, **kwargs)
-        return value + 1 if k == 2 else value
+    def wrong(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return value + 1 if args[-1] == 2 else value
 
-    monkeypatch.setattr(cli.weights, "count_via_contraction", wrong)
+    monkeypatch.setattr(getattr(cli, module), route, wrong)
     code, out, err = run_cli(capsys, "check", "--genus", "2", "--max-level", "2")
     assert code == 1
     report = json.loads(out)
     assert not all(c["passed"] for c in report["checks"])
     assert "FIRST DISCREPANCY" in err
     assert "k=2" in report["outputs"]["first_discrepancy"]
+    assert report["outputs"]["first_discrepancy"].startswith(first + ": ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the moment polytope: H-rep, exact volume, lattice counts, asymptotics."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -381,6 +382,30 @@ def test_lattice_count_equals_weight_count(k):
 def test_lattice_count_requires_positive_level():
     with pytest.raises(ValueError):
         lattice_count(build_polytope(THETA), THETA, 0)
+
+
+def test_lattice_count_recursion_limit():
+    # expand() recurses once per coordinate; with admitted() and numpy's
+    # frames beneath it lattice_count needs d + 5 nested frames.  One fewer
+    # raises ValueError before recursing, never RecursionError.
+    G = graph._necklace_graph(10)  # genus 6, E = 15
+    P = build_polytope(G)
+    P.integer_rows  # computed once, at full depth
+    expected = verlinde_dim(6, 2)
+    limit = sys.getrecursionlimit()
+    lo, hi = 1, limit  # frames this test's callees can nest now
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if graph.can_recurse(mid) else (lo, mid - 1)
+    try:
+        # lattice_count takes one of them.
+        sys.setrecursionlimit(limit - lo + G.edge_count + 6)
+        assert lattice_count(P, G, 2) == expected
+        sys.setrecursionlimit(limit - lo + G.edge_count + 5)
+        with pytest.raises(ValueError, match="E = 15 edges need 20 nested"):
+            lattice_count(P, G, 2)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("g,k_max", [(3, 10), (4, 4)])

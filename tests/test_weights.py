@@ -1,5 +1,6 @@
 """Tests for admissible weights: validity, enumeration, and fast counting."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from verlinde_lab import weights
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
     _necklace_graph,
+    can_recurse,
     dumbbell_graph,
     fusion_move,
     generate_genus_graphs,
@@ -148,6 +150,28 @@ def test_work_bound():
         count_admissible_bruteforce(THETA, 1000, max_states=10**6)
     with pytest.raises(WorkBoundExceeded):
         enumerate_admissible(THETA, 1000, max_states=10**6)
+
+
+def test_work_bound_recursion_limit():
+    # The DFS needs E + 2 nested frames below _dfs_admissible: one per edge,
+    # the leaf, and the leaf's call.  One fewer raises the budget error
+    # before recursing, never RecursionError.
+    G = _necklace_graph(10)  # genus 6, E = 15
+    expected = verlinde_dim(6, 1)
+    limit = sys.getrecursionlimit()
+    lo, hi = 1, limit  # frames this test's callees can nest now
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if can_recurse(mid) else (lo, mid - 1)
+    try:
+        # count_admissible_bruteforce and _dfs_admissible take two of them.
+        sys.setrecursionlimit(limit - lo + G.edge_count + 4)
+        assert count_admissible_bruteforce(G, 1) == expected
+        sys.setrecursionlimit(limit - lo + G.edge_count + 3)
+        with pytest.raises(WorkBoundExceeded, match="E = 15 edges need 17 nested"):
+            count_admissible_bruteforce(G, 1)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
