@@ -9,6 +9,7 @@ Work and memory budgets are explicit flags, and seeds are explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -338,11 +339,14 @@ def _add_budgets(p: argparse.ArgumentParser):
         "--max-frontier",
         type=int,
         default=weights.DEFAULT_MAX_FRONTIER,
-        help="cell budget (k+1)^frontier for tensor contraction",
+        help="cell budget per contraction tensor: w open edges store "
+        "((k+1)^w + ((k+1) mod 2)^w)/2 cells of even parity",
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verlinde-lab parser, built once per process: parse_args reuses it."""
     parser = argparse.ArgumentParser(
         prog="verlinde-lab",
         description="Exact rank computations for SU(2) conformal-block spaces.",

@@ -161,10 +161,44 @@ def _normalize_rows(rows) -> tuple | None:
     return tuple(sorted(out))
 
 
+def _has_recession(rows, dim: int) -> bool:
+    """Whether a . d <= 0 for every row (a, b) has a solution d != 0.
+
+    Fourier-Motzkin on the homogeneous integer rows, one coordinate at a
+    time.  Its projection onto the live coordinates is the projection of the
+    cone {d : A d <= 0}; that cone is nonzero exactly when, at some step, the
+    coordinate about to go has coefficients of one sign only, for then a
+    unit step along it stays in the projected cone.  Combined rows are kept
+    primitive and deduplicated, and by Chernikov's rule a row combined from
+    more than t + 1 input rows after t eliminations is implied by the
+    others and dropped.
+    """
+    system: dict[tuple[int, ...], frozenset] = {}
+    for n, (a, _) in enumerate(rows):
+        system.setdefault(tuple(a), frozenset([n]))
+    for t in range(dim):
+        pos = [a for a in system if a[t] > 0]
+        neg = [a for a in system if a[t] < 0]
+        if not pos or not neg:
+            return True
+        kept = {a: h for a, h in system.items() if a[t] == 0}
+        for p in pos:
+            for q in neg:
+                history = system[p] | system[q]
+                if len(history) > t + 2:
+                    continue
+                c = [-q[t] * x + p[t] * y for x, y in zip(p, q)]
+                m = gcd(*c)
+                if m:
+                    c = tuple([x // m for x in c])
+                    if c not in kept or len(history) < len(kept[c]):
+                        kept[c] = history
+        system = kept
+    return False
+
+
 def _interval_length(rows) -> Fraction:
-    """Length of a normalised 1-D system; normalisation pruned the empty ones."""
-    if len(rows) != 2:
-        raise ValueError("polytope is unbounded")
+    """Length of a normalised 1-D system: a bounded region leaves two rows."""
     ((lo_a,), lo_b), ((hi_a,), hi_b) = rows
     return Fraction(hi_b, hi_a) + Fraction(lo_b, -lo_a)
 
@@ -188,6 +222,12 @@ def _substitute(rows, facet_row, pivot: int):
 def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fraction:
     """Exact Euclidean volume; 0 for degenerate (lower-dimensional) input.
 
+    Raises ValueError when the rows bound no region: when a . d <= 0 for
+    every row has a solution d != 0, whatever the right-hand sides, so an
+    empty region with unbounded rows is refused as well.  That is decided
+    once per call by ``_has_recession``; every face of a region it passes
+    is bounded too, so each 1-D face ends in two rows.
+
     A ``stats`` dict, if given, receives ``memo_entries``, the faces
     integrated, and ``faces_pruned``, the empty or zero-width faces that
     normalisation set to 0 without recursing.
@@ -197,6 +237,8 @@ def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fractio
             f"exact_volume supports dimension <= {MAX_EXACT_DIMENSION} "
             f"(got {P.dim}); use mc_volume"
         )
+    if _has_recession(P.integer_rows, P.dim):
+        raise ValueError("polytope is unbounded: its rows admit a recession direction")
     memo: dict = {}
     pruned = 0
 

@@ -20,13 +20,17 @@ counted; the counts here are strict.
 
 Two routes count the admissible assignments.  count_admissible_bruteforce
 is a pruned depth-first enumeration and serves as the oracle.
-count_via_contraction gives every vertex a dense 0/1 numpy tensor over its
-edge labels and merges the tensors pairwise with np.einsum, in a greedy
-order that keeps the fewest edges open.  It computes in float64, which is
-exact while every count stays below 2^53, and switches to exact Python ints
-(dtype=object) at the first merge whose result reaches 2^53.  Each tensor's
-(k+1)^width cells are checked against a budget before it is allocated; the
-default of 10^7 cells holds one tensor, at 8 bytes a cell, to about 80 MB.
+count_via_contraction gives every vertex a 0/1 numpy tensor over its edge
+labels and merges the tensors pairwise with np.einsum, in a greedy order
+that keeps the fewest edges open.  Condition (1) is a Z/2 charge each
+vertex conserves, so a tensor vanishes on every parity pattern of its open
+edges with odd sum; it is stored as one dense block per even pattern, about
+half of the (k+1)^width cells, and a merge multiplies only blocks that agree
+on the shared edges.  It computes in float64, which is exact while every
+count stays below 2^53, and switches to exact Python ints (dtype=object) at
+the first merge whose result reaches 2^53.  Each tensor's stored cells are
+checked against a budget before it is allocated; the default of 10^7 cells
+holds one tensor, at 8 bytes a cell, to about 80 MB.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from verlinde_lab.graph import TrinionGraph, can_recurse, connected_edge_order
 #: Enumeration refuses when the raw label space (k+1)^E exceeds this.
 DEFAULT_MAX_STATES = 10**7
 
-#: Contraction refuses when any tensor frontier needs more than this many cells.
+#: Contraction refuses when any tensor frontier needs more than this many stored cells.
 DEFAULT_MAX_FRONTIER = 10**7
 
 # float64 holds every integer below 2^53 exactly; contraction leaves it at
@@ -131,7 +135,8 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
     """
     _check_state_budget(G, k, max_states)
     E = G.edge_count
-    # rec(0) .. rec(E), plus the call the deepest frame makes.
+    # rec(0) .. rec(E - 1), the calls the deepest frame makes to record a
+    # leaf, and one frame to spare.
     if not can_recurse(E + 2):
         raise WorkBoundExceeded(
             f"depth-first enumeration recurses once per edge: E = {E} edges "
@@ -158,13 +163,9 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
 
     def rec(t: int):
         nonlocal count
-        if t == E:
-            count += 1
-            if collect:
-                found.append(tuple(labels))
-            return
         e = order[t]
         pairs, fulls = pair_at[t], full_at[t]
+        leaf = t == E - 1
         for j in range(k + 1):
             labels[e] = j
             # Plain loops with for/else: a break marks j infeasible.
@@ -179,7 +180,12 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
                     if s & 1 or s > two_k or x + x > s or y + y > s or z + z > s:
                         break
                 else:
-                    rec(t + 1)
+                    if leaf:  # a complete labeling, recorded without a call
+                        count += 1
+                        if collect:
+                            found.append(tuple(labels))
+                    else:
+                        rec(t + 1)
         labels[e] = 0
 
     rec(0)
@@ -213,45 +219,67 @@ def count_admissible_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def _vertex_tensor(width: int, k: int) -> np.ndarray:
-    """0/1 admissibility tensor, in float64, of a vertex with ``width`` open edges.
+def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Even-parity blocks, in float64, of a vertex with ``width`` open edges.
 
-    A plain vertex has three open edges; the tensor is symmetric, so any
-    axis order serves.  A loop vertex (l, l, t) is summed over l at once:
-    conditions (1)-(3) read t even, t <= 2l and 2l + t <= 2k, which leaves
-    k - t + 1 values of l for every even t, a 1-D tensor on the other edge.
+    The block of parity pattern p is indexed by half-indices: its cell h
+    holds the labels j_i = 2 h_i + p_i.  A plain vertex has three open edges
+    and the four patterns of even sum; inside a block condition (1) holds by
+    construction, so only the triangle bounds and the level cap are tested.
+    The blocks are symmetric under permuting the edges together with the
+    pattern, so any axis order serves.  A loop vertex (l, l, t) is summed
+    over l at once: conditions (1)-(3) read t even, t <= 2l and 2l + t <= 2k,
+    which leaves k - t + 1 values of l for every even t, a single block on
+    the other edge.
     """
-    j = np.arange(k + 1)
+    labels = (np.arange(0, k + 1, 2), np.arange(1, k + 1, 2))
     if width == 1:
-        return np.where(j % 2 == 0, k + 1.0 - j, 0.0)
-    a, b = j[:, None], j[None, :]
-    # The third label c runs from |a - b| to min(a + b, 2k - a - b) in steps
-    # of 2; the bounds are built on the (a, b) plane so that every 3-D
-    # temporary is boolean.
-    lo = np.abs(a - b)[..., None]
-    hi = np.minimum(a + b, 2 * k - a - b)[..., None]
-    parity = ((a + b) % 2)[..., None]
-    ok = (lo <= j) & (j <= hi) & (j % 2 == parity)
-    return ok.astype(np.float64)
+        return {(0,): k + 1.0 - labels[0]}
+    blocks = {}
+    for pa, pb, pc in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        a, b, c = labels[pa][:, None], labels[pb][None, :], labels[pc]
+        # The third label runs from |a - b| to min(a + b, 2k - a - b); the
+        # bounds are built on the (a, b) plane so that every 3-D temporary
+        # is boolean.
+        lo = np.abs(a - b)[..., None]
+        hi = np.minimum(a + b, 2 * k - a - b)[..., None]
+        blocks[pa, pb, pc] = ((lo <= c) & (c <= hi)).astype(np.float64)
+    return blocks
 
 
-def _to_int(tensor):
-    """Exact Python ints (dtype=object) from a float64 tensor of integers below 2^53."""
-    return tensor.astype(np.int64).astype(object)
+def _to_int(blocks: dict) -> dict:
+    """Exact Python ints (dtype=object) from float64 blocks of integers below 2^53."""
+    return {p: block.astype(np.int64).astype(object) for p, block in blocks.items()}
 
 
-def _merge(edges_a: tuple, a, edges_b: tuple, b):
-    """Sum a * b over their shared edges; returns (open edges, tensor).
+def _merge(edges_a: tuple, a: dict, edges_b: tuple, b: dict):
+    """Sum a * b over their shared edges; returns (open edges, blocks).
 
-    One ``np.einsum`` call in sublist form.  Subscripts are numbered per
-    merge, since einsum accepts at most 52 of them, and its default
-    ``optimize=False`` keeps it off BLAS.
+    A block of a meets only the blocks of b with the same parities on the
+    shared edges.  Each such pair is one ``np.einsum`` call in sublist form,
+    added into the block of its pattern on the open edges.  Subscripts are
+    numbered per merge, since einsum accepts at most 52 of them, and its
+    default ``optimize=False`` keeps it off BLAS.
     """
     sub = {e: n for n, e in enumerate(dict.fromkeys(edges_a + edges_b))}
     out = tuple(e for e in edges_a + edges_b if (e in edges_a) != (e in edges_b))
-    merged = np.einsum(
-        a, [sub[e] for e in edges_a], b, [sub[e] for e in edges_b], [sub[e] for e in out]
-    )
+    subs_a, subs_b = [sub[e] for e in edges_a], [sub[e] for e in edges_b]
+    subs_out = [sub[e] for e in out]
+    shared_a = [i for i, e in enumerate(edges_a) if e in edges_b]
+    shared_b = [edges_b.index(edges_a[i]) for i in shared_a]
+    # Where each open edge's parity is read: (0, axis) in a, (1, axis) in b.
+    out_from = [
+        (0, edges_a.index(e)) if e in edges_a else (1, edges_b.index(e)) for e in out
+    ]
+    b_by_shared: dict[tuple, list] = {}
+    for pb, block_b in b.items():
+        b_by_shared.setdefault(tuple(pb[i] for i in shared_b), []).append((pb, block_b))
+    merged: dict[tuple[int, ...], np.ndarray] = {}
+    for pa, block_a in a.items():
+        for pb, block_b in b_by_shared.get(tuple(pa[i] for i in shared_a), ()):
+            pattern = tuple((pa, pb)[side][i] for side, i in out_from)
+            term = np.einsum(block_a, subs_a, block_b, subs_b, subs_out)
+            merged[pattern] = merged[pattern] + term if pattern in merged else term
     return out, merged
 
 
@@ -263,55 +291,66 @@ def count_via_contraction(
 ) -> int:
     """Exact |W_g^k| by contracting per-vertex admissibility tensors.
 
-    Each vertex contributes a dense 0/1 numpy tensor over its open edges.
-    Tensors are merged pairwise, one ``np.einsum`` over their shared edges
-    per step, in a greedy order: the pair whose merge leaves the fewest open
-    edges, ties broken by list position.  Before any tensor is built, its
-    (k+1)^width cells are checked against ``max_frontier``; the default
-    budget of 10^7 cells bounds one frontier at about 80 MB.  Agrees with
-    count_admissible_bruteforce by construction of the vertex tensors.
+    Condition (1) is a Z/2 charge that every vertex conserves, so every
+    tensor, a vertex's or a merged one, vanishes on each parity pattern of
+    its open edges whose sum is odd.  A tensor is therefore stored as
+    (edges, blocks): one dense float64 array per even pattern p, over the
+    half-indices h of the labels j = 2h + p.  With n0 = k//2 + 1 even and
+    n1 = (k+1)//2 odd labels, a tensor of width w stores
+    ((n0+n1)^w + (n0-n1)^w)/2 cells, about half of (k+1)^w, and a merge
+    does about a quarter of the dense multiply-adds.
 
-    Merges run in float64 until the first merge whose largest entry reaches
-    2^53.  That merge is redone, and every later one done, in exact Python
-    ints (``dtype=object``); earlier results are kept.  This is exact: every
-    entry, and every product and partial sum einsum forms on the way to it,
-    in whatever order, is a non-negative count of labelings, and float64
-    rounding is monotone.  A true partial sum of 2^53 or more therefore
-    rounds to 2^53 or more, the terms added after it are non-negative, and
-    the entry computes to 2^53 or more and trips the switch.  If instead
-    every computed entry is below 2^53, so is every true entry and every
-    true partial sum below it: integers that float64 holds exactly, so
-    nothing was rounded.
+    Tensors are merged pairwise in a greedy order: the pair whose merge
+    leaves the fewest open edges, ties broken by list position.  A merge
+    runs one ``np.einsum`` per pair of blocks that agree on the shared
+    edges.  Before any tensor is built, its stored cells are checked
+    against ``max_frontier``; the default budget of 10^7 cells bounds one
+    tensor at about 80 MB.  Agrees with count_admissible_bruteforce by
+    construction of the vertex blocks.
 
-    A ``stats`` dict, if given, receives ``peak_cells``, the cell count of
+    Merges run in float64 until the first merge whose largest entry, over
+    all its blocks, reaches 2^53.  That merge is redone, and every later one
+    done, in exact Python ints (``dtype=object``); earlier results are kept.
+    This is exact: every entry, and every product and partial sum einsum and
+    the block sums form on the way to it, in whatever order, is a
+    non-negative count of labelings, and float64 rounding is monotone.  A
+    true partial sum of 2^53 or more therefore rounds to 2^53 or more, the
+    terms added after it are non-negative, and the entry computes to 2^53 or
+    more and trips the switch.  If instead every computed entry is below
+    2^53, so is every true entry and every true partial sum below it:
+    integers that float64 holds exactly, so nothing was rounded.
+
+    A ``stats`` dict, if given, receives ``peak_cells``, the stored cells of
     the largest tensor built, and ``int_from_merge``, the 0-based index of
     the first merge done in Python ints, or None if all ran in float64.
     """
     if k < 0:
         raise ValueError("level must be non-negative")
+    n0, n1 = k // 2 + 1, (k + 1) // 2
     peak = 0
 
     def check_budget(width: int):
         nonlocal peak
-        need = (k + 1) ** width
+        need = ((n0 + n1) ** width + (n0 - n1) ** width) // 2
         if need > max_frontier:
             raise FrontierBudgetExceeded(
-                f"frontier of {width} open edges needs (k+1)^{width} = {need} "
-                f"cells; budget is {max_frontier}"
+                f"frontier of {width} open edges needs even-parity blocks of "
+                f"((k+1)^{width} + {n0 - n1}^{width})/2 = {need} cells; "
+                f"budget is {max_frontier}"
             )
         peak = max(peak, need)
 
-    # Vertex tensors depend on the width alone, and merges never write to
-    # their operands, so vertices of one width share a single array.
-    built: dict[int, np.ndarray] = {}
+    # Vertex blocks depend on the width alone, and merges never write to
+    # their operands, so vertices of one width share a single dict.
+    built: dict[int, dict] = {}
     tensors = []
     for triple in G.vertex_edge_triples():
-        # A loop's label is summed inside its vertex tensor, so only edges
+        # A loop's label is summed inside its vertex blocks, so only edges
         # that appear once in the triple stay open.
         edges = tuple(e for e in sorted(set(triple)) if triple.count(e) == 1)
         check_budget(len(edges))
         if len(edges) not in built:
-            built[len(edges)] = _vertex_tensor(len(edges), k)
+            built[len(edges)] = _vertex_blocks(len(edges), k)
         tensors.append((edges, built[len(edges)]))
 
     int_from = None
@@ -331,7 +370,10 @@ def count_via_contraction(
         (edges_a, a), (edges_b, b) = tensors[i], tensors[j]
         tensors = [t for idx, t in enumerate(tensors) if idx not in (i, j)]
         edges, merged = _merge(edges_a, a, edges_b, b)
-        if int_from is None and merged.max() >= _FLOAT_EXACT_LIMIT:
+        # The odd blocks are empty at k = 0, hence initial=0.
+        if int_from is None and max(
+            np.max(block, initial=0) for block in merged.values()
+        ) >= _FLOAT_EXACT_LIMIT:
             int_from = step
             tensors = [(e, _to_int(t)) for e, t in tensors]
             edges, merged = _merge(edges_a, _to_int(a), edges_b, _to_int(b))
@@ -342,4 +384,4 @@ def count_via_contraction(
         stats["int_from_merge"] = int_from
     edges, final = tensors[0]
     assert edges == ()
-    return int(final)
+    return int(final[()])

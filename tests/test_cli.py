@@ -94,13 +94,50 @@ def test_count_methods_agree(capsys):
     assert brute["outputs"]["count"] == contract["outputs"]["count"] == 20
 
 
+def _main_outcome(capsys, argv):
+    """Exit code, report without its timing (or raw stdout), and stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse errors exit through SystemExit
+        code = exc.code
+    captured = capsys.readouterr()
+    try:
+        out = json.loads(captured.out)
+        out.pop("timing_seconds")
+    except json.JSONDecodeError:
+        out = captured.out
+    return code, out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_ones(capsys):
+    # The parser is built once per process; every call must parse afresh.
+    argvs = [
+        ["count", "--genus", "2", "--level", "3", "--method", "brute"],
+        ["count", "--genus", "2", "--level", "3"],
+        ["count", "--genus", "2"],  # --level missing: argparse exits 2
+        ["count", "--genus", "2", "--level", "2"],
+        ["verlinde", "--genus", "3", "--level", "2"],
+    ]
+    repeated = [_main_outcome(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(_main_outcome(capsys, argv))
+    assert repeated == fresh
+    assert [code for code, _, _ in repeated] == [0, 0, 2, 0, 0]
+    assert repeated[1][1]["inputs"]["method"] == "contract"
+    assert repeated[3][1]["outputs"]["count"] == 10
+
+
 def test_count_reports_contraction_counters(capsys):
     _, report, _ = run_json(capsys, "count", "--genus", "2", "--level", "3")
     rows = {row["graph"]: row for row in report["outputs"]["per_graph"]}
+    # peak_cells counts the even-parity blocks: at k = 3, two even and two
+    # odd labels, so (4^w + 0^w)/2 cells for w open edges.
     assert rows["theta"] == {
-        "graph": "theta", "count": 20, "peak_cells": 64, "int_from_merge": None
+        "graph": "theta", "count": 20, "peak_cells": 4**3 // 2, "int_from_merge": None
     }
-    assert rows["dumbbell"]["peak_cells"] == 4 and rows["dumbbell"]["int_from_merge"] is None
+    assert rows["dumbbell"]["peak_cells"] == 2 and rows["dumbbell"]["int_from_merge"] is None
     # The counters are deterministic, so two reports diff clean.
     _, again, _ = run_json(capsys, "count", "--genus", "2", "--level", "3")
     assert again["outputs"] == report["outputs"]

@@ -207,6 +207,23 @@ def test_volume_empty_is_zero():
     assert exact_volume(ClebschGordanPolytope(2, tuple(rows))) == 0
 
 
+def test_volume_unbounded_is_an_error():
+    f = Fraction
+    # The cone {x >= 0, y >= 0}: every row passes through the origin, so no
+    # facet is integrated and no 1-D face is ever reached.
+    cone = (((f(-1), f(0)), f(0)), ((f(0), f(-1)), f(0)))
+    # The strip 0 <= x <= 1, y >= 1, and the empty strip 1 <= x <= 0, y >= 0:
+    # rows that bound no region are refused whatever their right-hand sides.
+    strip = (((f(-1), f(0)), f(0)), ((f(1), f(0)), f(1)), ((f(0), f(-1)), f(-1)))
+    empty_strip = (((f(-1), f(0)), f(-1)), ((f(1), f(0)), f(0)), ((f(0), f(-1)), f(0)))
+    for rows in (cone, strip, empty_strip):
+        with pytest.raises(ValueError, match="unbounded"):
+            exact_volume(ClebschGordanPolytope(2, rows))
+    # One more row closes the cone into a triangle.
+    triangle = (*cone, ((f(1), f(1)), f(1)))
+    assert exact_volume(ClebschGordanPolytope(2, triangle)) == Fraction(1, 2)
+
+
 def _random_polytope(rng: random.Random, d: int) -> ClebschGordanPolytope:
     """The unit box, random rational cuts, and some opposite row pairs that
     leave a slab of positive, zero or negative width; rows shuffled."""

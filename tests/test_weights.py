@@ -2,7 +2,9 @@
 
 import sys
 from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
 
 from verlinde_lab import weights
@@ -185,9 +187,74 @@ def test_contraction_equals_bruteforce_dumbbell():
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_contraction_equals_bruteforce_all_desk_graphs(k):
-    for g in (2, 3):
+    for g in (2, 3, 4):
         for G in generate_genus_graphs(g):
-            assert count_via_contraction(G, k) == count_admissible_bruteforce(G, k)
+            if (k + 1) ** G.edge_count <= weights.DEFAULT_MAX_STATES:
+                assert count_via_contraction(G, k) == count_admissible_bruteforce(G, k)
+
+
+def _stored_cells(width, k):
+    """Cells of the even patterns on ``width`` edges, summed pattern by pattern."""
+    sizes = (k // 2 + 1, (k + 1) // 2)  # even and odd labels in [0, k]
+    return sum(
+        prod(sizes[p] for p in pattern)
+        for pattern in product((0, 1), repeat=width)
+        if sum(pattern) % 2 == 0
+    )
+
+
+@pytest.mark.parametrize("k", range(0, 13))
+def test_vertex_blocks_reassemble_dense_tensor(k):
+    for width in (1, 3):
+        blocks = weights._vertex_blocks(width, k)
+        assert all(sum(p) % 2 == 0 for p in blocks)
+        assert sum(b.size for b in blocks.values()) == _stored_cells(width, k)
+        dense = np.zeros((k + 1,) * width)
+        for pattern, block in blocks.items():
+            dense[tuple(slice(p, None, 2) for p in pattern)] = block
+        for labels in product(range(k + 1), repeat=width):
+            if width == 3:
+                want = vertex_conditions_hold(k, labels)
+            else:  # a loop vertex (l, l, t), summed over its loop label l
+                want = sum(vertex_conditions_hold(k, (l, l, *labels)) for l in range(k + 1))
+            assert dense[labels] == want, labels
+
+
+@pytest.mark.parametrize("k", range(0, 8))
+def test_merged_tensors_store_the_closed_form_cells(k, monkeypatch):
+    # Every merge of a connected graph fills all even patterns of its open
+    # edges, so it stores ((n0+n1)^w + (n0-n1)^w)/2 cells, n0 even labels and
+    # n1 odd ones; the budget and peak_cells read that closed form.
+    n0, n1 = k // 2 + 1, (k + 1) // 2
+    seen = []
+    merge = weights._merge
+
+    def recording_merge(*args):
+        edges, blocks = merge(*args)
+        seen.append((len(edges), sum(np.size(b) for b in blocks.values())))
+        assert all(sum(p) % 2 == 0 for p in blocks)
+        return edges, blocks
+
+    monkeypatch.setattr(weights, "_merge", recording_merge)
+    for G in (*generate_genus_graphs(3), _necklace_graph(8)):
+        seen.clear()
+        stats: dict = {}
+        count_via_contraction(G, k, stats=stats)
+        for width, cells in seen:
+            assert cells == _stored_cells(width, k)
+            assert cells == ((n0 + n1) ** width + (n0 - n1) ** width) // 2
+        # Each of these graphs has a plain vertex, of width 3.
+        widths = [3] + [width for width, _ in seen]
+        assert stats["peak_cells"] == max(_stored_cells(w, k) for w in widths)
+
+
+def test_contraction_tetrahedron_level_fifty():
+    G = generate_genus_graphs(3)[1]
+    # K4: every two of the four vertices share exactly one edge.
+    triples = [set(t) for t in G.vertex_edge_triples()]
+    assert len(triples) == 4
+    assert all(len(s & t) == 1 for i, s in enumerate(triples) for t in triples[:i])
+    assert count_via_contraction(G, 50) == verlinde_dim(3, 50) == 110242756
 
 
 @pytest.mark.parametrize("k", range(0, 7))
@@ -225,13 +292,14 @@ def test_contraction_genus_five_level_forty_stays_float():
 def test_contraction_stats():
     stats: dict = {}
     count_via_contraction(THETA, 50, stats=stats)
-    assert stats == {"peak_cells": 51**3, "int_from_merge": None}
+    # Even-parity blocks store ((k+1)^w + 1)/2 cells at even k.
+    assert stats == {"peak_cells": (51**3 + 1) // 2, "int_from_merge": None}
     runs = []
     for _ in range(2):
         stats = {}
         count_via_contraction(_necklace_graph(12), 20, stats=stats)
         runs.append(stats)
-    assert runs[0] == runs[1] == {"peak_cells": 21**3, "int_from_merge": 10}
+    assert runs[0] == runs[1] == {"peak_cells": (21**3 + 1) // 2, "int_from_merge": 10}
 
 
 def test_contraction_theta_level_fifty_matches_verlinde():
