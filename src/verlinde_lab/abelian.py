@@ -202,11 +202,15 @@ def _inverse(matrix: tuple[tuple[int, ...], ...]) -> tuple[list[list[Fraction]],
 
 def _coset(
     inverse: list[list[Fraction]], shift: tuple[Fraction, ...]
-) -> list[tuple[Fraction, ...]]:
-    """The coset -A^-1 t + A^-1 Z^g of A^-1 Z^g / Z^g in [0,1)^g, sorted."""
+) -> tuple[list[tuple[int, ...]], int]:
+    """The coset -A^-1 t + A^-1 Z^g of A^-1 Z^g / Z^g in [0,1)^g, sorted.
+
+    Returns (numerators, Q): the points as integer tuples in [0, Q)^g over
+    one common denominator Q, so point p stands for p / Q.
+    """
     base = [-sum(map(mul, row, shift)) for row in inverse]
     # Over one common denominator Q the coset is a set of integer tuples mod
-    # Q, and sorting those orders the Fractions the same way.
+    # Q, and sorting those orders the points as rationals.
     Q = lcm(*(x.denominator for row in [base, *inverse] for x in row))
     points = [tuple(x.numerator * (Q // x.denominator) % Q for x in base)]
     seen = set(points)
@@ -221,47 +225,52 @@ def _coset(
                 break
             seen.update(coset)
             points.extend(coset)
-    return [tuple(Fraction(n, Q) for n in p) for p in sorted(points)]
+    return sorted(points), Q
 
 
-def e_bs_fibres(M: AffineMultisection) -> list[tuple[tuple[Fraction, ...], int]]:
+#: A fibre's base point (numerators, Q), standing for numerators / Q, and the
+#: index of its component.
+Fibre = tuple[tuple[tuple[int, ...], int], int]
+
+
+def e_bs_fibres(M: AffineMultisection) -> list[Fibre]:
     """Explicit solution set: (base point in [0,1)^g, component index) pairs.
 
+    A base point is (numerators, Q) over its component's common
+    denominator Q; ``Fraction(n, Q)`` per numerator gives its coordinates.
     Base points shared by several components appear once per component, so
     the list length equals ``gft_intersection_count``.  Each component has
     |det A| points; a total above ``DEFAULT_MAX_POINTS`` raises
     ``BudgetExceeded`` before the component that passes it is listed.
     """
-    out: list[tuple[tuple[Fraction, ...], int]] = []
+    out: list[Fibre] = []
     for idx, comp in enumerate(M.components):
         inverse, size = _inverse(comp.matrix)
         if len(out) + size > DEFAULT_MAX_POINTS:
             raise BudgetExceeded(
                 f"{len(out) + size} fibres exceed the budget of {DEFAULT_MAX_POINTS}"
             )
-        out += [(point, idx) for point in _coset(inverse, comp.shift)]
+        points, Q = _coset(inverse, comp.shift)
+        out += [((point, Q), idx) for point in points]
     return out
 
 
-def fibres_solve_congruence(
-    M: AffineMultisection, fibres: list[tuple[tuple[Fraction, ...], int]]
-) -> bool:
+def fibres_solve_congruence(M: AffineMultisection, fibres: list[Fibre]) -> bool:
     """True when each fibre b of component (A, t) lies in [0,1)^g and solves
     A.b + t = 0 (mod Z^g), and no component lists a point twice.
 
     Per component the points and the shift are written over one common
     denominator Q, so the test runs on integer numerators modulo Q.
     """
-    points: list[list[tuple[Fraction, ...]]] = [[] for _ in M.components]
+    points: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in M.components]
     for point, idx in fibres:
         points[idx].append(point)
     for comp, pts in zip(M.components, points):
-        flat = [(x.numerator, x.denominator) for p in pts for x in p]
-        Q = lcm(*{d for _, d in flat}, *(s.denominator for s in comp.shift))
-        nums = [n * (Q // d) for n, d in flat]
-        g = len(comp.shift)
-        B = [tuple(nums[i : i + g]) for i in range(0, len(nums), g)]
-        if len(set(B)) != len(B) or not all(0 <= n < Q for n in nums):
+        if not all(0 <= n < q for nums, q in pts for n in nums):
+            return False
+        Q = lcm(*{q for _, q in pts}, *(s.denominator for s in comp.shift))
+        B = [tuple(n * (Q // q) for n in nums) for nums, q in pts]
+        if len(set(B)) != len(B):
             return False
         for row, s in zip(comp.matrix, comp.shift):
             t = s.numerator * (Q // s.denominator)

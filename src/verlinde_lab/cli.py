@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from math import gcd
 from pathlib import Path
 
 from verlinde_lab import abelian as abelian_mod
@@ -113,7 +114,7 @@ def cmd_count(args) -> RunReport:
         stats: dict = {}
         if args.method == "brute":
             n = weights.count_admissible_bruteforce(
-                G, args.level, max_states=args.max_states
+                G, args.level, max_states=args.max_states, stats=stats
             )
         else:
             n = weights.count_via_contraction(
@@ -253,6 +254,12 @@ def cmd_polytope(args) -> RunReport:
     return report
 
 
+def _ratio(n: int, q: int) -> str:
+    """``str(Fraction(n, q))`` for q > 0, without building the Fraction."""
+    d = gcd(n, q)
+    return f"{n // d}/{q // d}" if d != q else str(n // d)
+
+
 def cmd_abelian(args) -> RunReport:
     report = RunReport(
         "abelian",
@@ -268,7 +275,8 @@ def cmd_abelian(args) -> RunReport:
         fibres = abelian_mod.e_bs_fibres(M)
         report.outputs["count"] = count
         report.outputs["fibres"] = [
-            {"point": [str(c) for c in pt], "component": idx} for pt, idx in fibres
+            {"point": [_ratio(n, Q) for n in nums], "component": idx}
+            for (nums, Q), idx in fibres
         ]
         report.add_check(
             "fibre-total-equals-count", len(fibres) == count, fibres=len(fibres)

@@ -19,7 +19,11 @@ violates condition (2) at every vertex for k >= 1 and is deliberately not
 counted; the counts here are strict.
 
 Two routes count the admissible assignments.  count_admissible_bruteforce
-is a pruned depth-first enumeration and serves as the oracle.
+is a depth-first enumeration and serves as the oracle.  It labels edges in
+a connected order; at each edge, the labels that satisfy every vertex
+completing there form one arithmetic progression (conditions (1)-(3) solved
+for that edge), so no label is tried that fails a vertex closing there, and
+the last edge's progression is counted by its length without a loop.
 count_via_contraction gives every vertex a 0/1 numpy tensor over its edge
 labels and merges the tensors pairwise with np.einsum, in a greedy order
 that keeps the fewest edges open.  Condition (1) is a Z/2 charge each
@@ -127,16 +131,37 @@ def _check_state_budget(G: TrinionGraph, k: int, max_states: int) -> None:
         )
 
 
-def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
-    """Depth-first enumeration with per-vertex pruning.
+def _dfs_admissible(
+    G: TrinionGraph, k: int, collect: bool, max_states: int, stats: dict | None = None
+):
+    """Depth-first enumeration that labels an edge with a whole progression.
+
+    Edges are labelled in ``connected_edge_order``.  At depth t the labels
+    that edge order[t] may take, given the labels before it, are one
+    arithmetic progression range(lo, hi + 1, step), read from the vertices
+    whose last label is order[t]:
+
+    - a plain completion, with order[t] once and earlier labels x and y,
+      admits j = x + y (mod 2) with |x - y| <= j <= min(x + y, 2k - x - y);
+    - a loop completion (order[t], order[t], z) admits every j with
+      z/2 <= j <= k - z/2 when z is even, and none when z is odd.
+
+    These are conditions (1)-(3) for that vertex, solved for its last
+    label.  Two completions that ask for different parities admit nothing.
+    A vertex with two labels set and one to come needs no test: any x and y
+    in [0, k] admit the third label |x - y|.  At the last depth the
+    progression's length is added to the count without a loop; ``collect``
+    lists it instead.
 
     Returns (count, labels_list); labels_list is only populated when
-    ``collect`` is set.
+    ``collect`` is set.  A ``stats`` dict, if given, receives ``nodes``, the
+    prefixes whose progression was computed, and ``pruned``, those whose
+    progression was empty.
     """
     _check_state_budget(G, k, max_states)
     E = G.edge_count
-    # rec(0) .. rec(E - 1), the calls the deepest frame makes to record a
-    # leaf, and one frame to spare.
+    # rec(0) .. rec(E - 1), the C calls the deepest frame makes to record
+    # labelings, and one frame to spare.
     if not can_recurse(E + 2):
         raise WorkBoundExceeded(
             f"depth-first enumeration recurses once per edge: E = {E} edges "
@@ -145,50 +170,77 @@ def _dfs_admissible(G: TrinionGraph, k: int, collect: bool, max_states: int):
         )
     order = connected_edge_order(G)
     pos = {e: t for t, e in enumerate(order)}
-    # Per depth t, the vertices whose last label is order[t] (checked in
-    # full) and those whose second label is order[t] (checked as a pair: no
-    # third label in [0, k] repairs a pair sum above 2k or a gap above k).
-    # A loop's pair (l, l) always passes and is left out.
-    full_at: list[list[tuple[int, int, int]]] = [[] for _ in range(E)]
-    pair_at: list[list[tuple[int, int]]] = [[] for _ in range(E)]
+    # Per depth t, the vertices whose last label is order[t]: plain ones as
+    # the pair of their other edges, loop ones as their non-loop edge.
+    plain_at: list[list[tuple[int, int]]] = [[] for _ in range(E)]
+    loop_at: list[list[int]] = [[] for _ in range(E)]
     for triple in G.vertex_edge_triples():
         first, second, last = sorted(triple, key=pos.__getitem__)
-        full_at[pos[last]].append(triple)
-        if pos[second] < pos[last] and first != second:
-            pair_at[pos[second]].append((first, second))
+        if second == last:
+            loop_at[pos[last]].append(first)
+        else:
+            plain_at[pos[last]].append((first, second))
+    levels = [(order[t], plain_at[t], loop_at[t], t == E - 1) for t in range(E)]
     labels = [0] * E
     found: list[tuple[int, ...]] = []
-    count = 0
+    count = pruned = 0
+    nodes = 1  # rec(0); every later call is counted by its parent
     two_k = 2 * k
 
     def rec(t: int):
-        nonlocal count
-        e = order[t]
-        pairs, fulls = pair_at[t], full_at[t]
-        leaf = t == E - 1
-        for j in range(k + 1):
-            labels[e] = j
-            # Plain loops with for/else: a break marks j infeasible.
-            for a, b in pairs:
-                x, y = labels[a], labels[b]
-                if x + y > two_k or x - y > k or y - x > k:
-                    break
-            else:
-                for a, b, c in fulls:
-                    x, y, z = labels[a], labels[b], labels[c]
-                    s = x + y + z
-                    if s & 1 or s > two_k or x + x > s or y + y > s or z + z > s:
-                        break
-                else:
-                    if leaf:  # a complete labeling, recorded without a call
-                        count += 1
-                        if collect:
-                            found.append(tuple(labels))
-                    else:
-                        rec(t + 1)
-        labels[e] = 0
+        # Comparisons in place of min, max and abs: they run once per prefix.
+        nonlocal count, nodes, pruned
+        e, plains, loops, last = levels[t]
+        lo, hi, parity = 0, k, -1
+        for a, b in plains:
+            x = labels[a]
+            y = labels[b]
+            s = x + y
+            if parity < 0:
+                parity = s & 1
+            elif parity != s & 1:
+                hi = -1
+            d = x - y if x > y else y - x
+            if d > lo:
+                lo = d
+            if s > k:  # min(s, 2k - s), which never exceeds k
+                s = two_k - s
+            if s < hi:
+                hi = s
+        for a in loops:
+            z = labels[a]
+            if z & 1:
+                hi = -1
+            half = z >> 1
+            if half > lo:
+                lo = half
+            if k - half < hi:
+                hi = k - half
+        if parity < 0:
+            step = 1
+        else:
+            step = 2
+            lo += (lo - parity) & 1
+        if lo > hi:
+            pruned += 1
+            return
+        n = (hi - lo) // step + 1
+        if last:
+            count += n
+            if collect:
+                for j in range(lo, hi + 1, step):
+                    labels[e] = j
+                    found.append(tuple(labels))
+        else:
+            nodes += n
+            for j in range(lo, hi + 1, step):
+                labels[e] = j
+                rec(t + 1)
 
     rec(0)
+    if stats is not None:
+        stats["nodes"] = nodes
+        stats["pruned"] = pruned
     if collect:
         found.sort()
     return count, found
@@ -205,12 +257,19 @@ def enumerate_admissible(
 
 
 def count_admissible_bruteforce(
-    G: TrinionGraph, k: int, max_states: int = DEFAULT_MAX_STATES
+    G: TrinionGraph,
+    k: int,
+    max_states: int = DEFAULT_MAX_STATES,
+    stats: dict | None = None,
 ) -> int:
-    """|enumerate_admissible(G, k)| without materializing the labels."""
+    """|enumerate_admissible(G, k)| without materializing the labels.
+
+    A ``stats`` dict, if given, receives the search's ``nodes`` and
+    ``pruned`` counters (see ``_dfs_admissible``).
+    """
     if k < 0:
         raise ValueError("level must be non-negative")
-    count, _ = _dfs_admissible(G, k, collect=False, max_states=max_states)
+    count, _ = _dfs_admissible(G, k, collect=False, max_states=max_states, stats=stats)
     return count
 
 

@@ -35,6 +35,11 @@ def _diag(*entries):
     )
 
 
+def _fraction_fibres(M):
+    """e_bs_fibres(M) with each base point as a tuple of Fractions."""
+    return [(tuple(Fraction(n, Q) for n in nums), idx) for (nums, Q), idx in e_bs_fibres(M)]
+
+
 def _component(matrix, shift=None):
     g = len(matrix)
     if shift is None:
@@ -225,7 +230,7 @@ def test_fibres_match_brute_force_oracle():
         comp = _component(A, shift)
         M = _multisection(comp)
         expected = _brute_force_solutions(comp)
-        got = sorted(pt for pt, _ in e_bs_fibres(M))
+        got = sorted(pt for pt, _ in _fraction_fibres(M))
         assert got == expected
         assert gft_intersection_count(M) == len(expected) == abs(d)
 
@@ -249,12 +254,13 @@ def test_count_shift_invariant():
 
 def test_fibres_doubled_circle():
     M = _multisection(_component(((2,),)))
-    assert [pt for pt, _ in e_bs_fibres(M)] == [(Fraction(0),), (Fraction(1, 2),)]
+    assert e_bs_fibres(M) == [(((0,), 2), 0), (((1,), 2), 0)]
+    assert [pt for pt, _ in _fraction_fibres(M)] == [(Fraction(0),), (Fraction(1, 2),)]
 
 
 def test_fibres_shifted_identity():
     M = _multisection(_component(((1,),), (Fraction(1, 3),)))
-    assert [pt for pt, _ in e_bs_fibres(M)] == [(Fraction(2, 3),)]
+    assert [pt for pt, _ in _fraction_fibres(M)] == [(Fraction(2, 3),)]
 
 
 def test_fibres_direct_sum_multiplicity():
@@ -262,7 +268,7 @@ def test_fibres_direct_sum_multiplicity():
     r, g, k = 3, 2, 2
     comps = tuple(_component(_diag(*([k] * g))) for _ in range(r))
     M = AffineMultisection(g, comps)
-    fib = e_bs_fibres(M)
+    fib = _fraction_fibres(M)
     assert len(fib) == r * k**g == gft_intersection_count(M)
     by_component = {}
     for pt, idx in fib:
@@ -275,7 +281,7 @@ def test_fibres_direct_sum_multiplicity():
 def test_fibres_refinement_matches_bs_points():
     g, k = 2, 3
     M = _multisection(_component(_diag(*([k] * g))))
-    fib = {pt for pt, _ in e_bs_fibres(M)}
+    fib = {pt for pt, _ in _fraction_fibres(M)}
     expected = {
         tuple(Fraction(v, k) for v in c.values)
         for c in bs_points(TorusFibration(g, k))
@@ -336,7 +342,7 @@ def test_fibres_equal_fraction_oracle_on_random_multisections(g):
         assert gft_intersection_count(M) == total == len(fibres)
         assert [i for _, i in fibres] == sorted(i for _, i in fibres)
         for idx in range(len(M.components)):
-            points = [pt for pt, i in fibres if i == idx]
+            points = [pt for pt, i in _fraction_fibres(M) if i == idx]
             assert points == sorted(points)
 
 
@@ -363,16 +369,23 @@ def test_fibres_solve_congruence_rejects_tampered_and_duplicated_points():
     )
     fibres = e_bs_fibres(M)
     assert fibres_solve_congruence(M, fibres)
-    (x, y), idx = fibres[3]
+    ((x, y), Q), idx = fibres[3]
     tampered = list(fibres)
-    tampered[3] = ((x, (y + Fraction(1, 97)) % 1), idx)
+    # y + 1/97 (mod 1), written over 97 Q
+    tampered[3] = (((97 * x, (97 * y + Q) % (97 * Q)), 97 * Q), idx)
     assert not fibres_solve_congruence(M, tampered)
     duplicated = list(fibres)
     duplicated[3] = fibres[2]
     assert fibres[2][1] == idx
     assert not fibres_solve_congruence(M, duplicated)
+    (u, v), _ = fibres[2][0]
+    rescaled = list(fibres)
+    rescaled[3] = (((2 * x, 2 * y), 2 * Q), idx)  # the same point over 2Q
+    assert fibres_solve_congruence(M, rescaled)
+    rescaled[3] = (((2 * u, 2 * v), 2 * Q), idx)  # fibres[2] over 2Q
+    assert not fibres_solve_congruence(M, rescaled)
     outside = list(fibres)
-    outside[3] = ((x + 1, y), idx)  # the same torus point, outside [0,1)^g
+    outside[3] = (((x + Q, y), Q), idx)  # the same torus point, outside [0,1)^g
     assert not fibres_solve_congruence(M, outside)
 
 

@@ -144,7 +144,13 @@ def test_count_reports_contraction_counters(capsys):
     _, brute, _ = run_json(
         capsys, "count", "--genus", "2", "--level", "3", "--method", "brute"
     )
-    assert all(set(row) == {"graph", "count"} for row in brute["outputs"]["per_graph"])
+    # Brute rows carry the DFS counters.  Theta: 1 + 4 + 16 prefixes, the
+    # last edge counted in closed form.  Dumbbell: 1 + 4 prefixes, then 6
+    # even bridge labels within min(2a, 6 - 2a) of the first loop's a.
+    assert {row["graph"]: row for row in brute["outputs"]["per_graph"]} == {
+        "theta": {"graph": "theta", "count": 20, "nodes": 21, "pruned": 0},
+        "dumbbell": {"graph": "dumbbell", "count": 20, "nodes": 11, "pruned": 0},
+    }
 
 
 def test_count_graph_file(tmp_path, capsys):
@@ -553,6 +559,13 @@ def test_abelian_identity_multisection(tmp_path, capsys):
     assert report["outputs"]["fibres"] == [
         {"point": ["1/2", "1/2"], "component": 0}
     ]
+
+
+def test_fibre_coordinates_print_as_reduced_fractions():
+    # A fibre coordinate n / Q prints as str(Fraction(n, Q)) did.
+    for q in range(1, 40):
+        for n in range(q):
+            assert cli._ratio(n, q) == str(Fraction(n, q))
 
 
 def test_abelian_multisection_fails_on_a_repeated_fibre(tmp_path, capsys, monkeypatch):

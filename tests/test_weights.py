@@ -12,6 +12,7 @@ from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
     _necklace_graph,
     can_recurse,
+    connected_edge_order,
     dumbbell_graph,
     fusion_move,
     generate_genus_graphs,
@@ -155,9 +156,9 @@ def test_work_bound():
 
 
 def test_work_bound_recursion_limit():
-    # The DFS needs E + 2 nested frames below _dfs_admissible: one per edge,
-    # the leaf, and the leaf's call.  One fewer raises the budget error
-    # before recursing, never RecursionError.
+    # The DFS asks for E + 2 nested frames below _dfs_admissible: one per
+    # edge, the calls the deepest frame makes, and one to spare.  One fewer
+    # raises the budget error before recursing, never RecursionError.
     G = _necklace_graph(10)  # genus 6, E = 15
     expected = verlinde_dim(6, 1)
     limit = sys.getrecursionlimit()
@@ -174,6 +175,102 @@ def test_work_bound_recursion_limit():
             count_admissible_bruteforce(G, 1)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _scan_prefixes(G, k):
+    """Oracle for the DFS counters, from every label tuple of every prefix.
+
+    A prefix of connected_edge_order is visited when every vertex it
+    completes holds; it is pruned when it is shorter than E and no label of
+    the next edge completes the vertices that edge completes.
+    """
+    order = connected_edge_order(G)
+    triples = G.vertex_edge_triples()
+
+    def holds(labels, t):  # every vertex whose edges lie in order[:t]
+        done = [v for v in triples if set(v) <= set(order[:t])]
+        return all(vertex_conditions_hold(k, tuple(labels[e] for e in v)) for v in done)
+
+    nodes = pruned = 0
+    for t in range(G.edge_count):
+        for prefix in product(range(k + 1), repeat=t):
+            labels = dict(zip(order, prefix))
+            if not holds(labels, t):
+                continue
+            nodes += 1
+            pruned += not any(holds({**labels, order[t]: j}, t + 1) for j in range(k + 1))
+    return nodes, pruned
+
+
+@pytest.mark.parametrize("k", range(0, 4))
+def test_dfs_counters_match_a_scan_of_prefixes(k):
+    for G in (THETA, DUMBBELL, *generate_genus_graphs(3)):
+        stats: dict = {}
+        count_admissible_bruteforce(G, k, stats=stats)
+        assert (stats["nodes"], stats["pruned"]) == _scan_prefixes(G, k)
+
+
+def test_dfs_counters_are_deterministic():
+    G = generate_genus_graphs(4)[5]
+    first: dict = {}
+    second: dict = {}
+    assert count_admissible_bruteforce(G, 4, stats=first) == verlinde_dim(4, 4)
+    assert count_admissible_bruteforce(G, 4, stats=second) == verlinde_dim(4, 4)
+    assert first == second
+    assert set(first) == {"nodes", "pruned"} and first["pruned"] > 0
+
+
+def test_dfs_loop_completes_at_the_last_edge():
+    # The dumbbell's last edge is the loop at v1, so its vertex (l, l, b)
+    # completes through the loop label: b even, b/2 <= l <= k - b/2.
+    order = connected_edge_order(DUMBBELL)
+    loop = order[-1]
+    assert sorted(DUMBBELL.vertex_edge_triples()[1]) == [order[1], loop, loop]
+    for k in range(0, 9):
+        want = _full_scan(DUMBBELL, k)
+        assert {w.labels for w in enumerate_admissible(DUMBBELL, k)} == want
+        assert count_admissible_bruteforce(DUMBBELL, k) == len(want)
+        # By the closed form, one prefix (a, b) leaves k - b + 1 loop labels.
+        assert len(want) == sum(
+            k - b + 1
+            for a in range(k + 1)
+            for b in range(0, min(2 * a, 2 * k - 2 * a) + 1, 2)
+        )
+
+
+def test_dfs_opposite_parities_at_one_edge_admit_nothing():
+    # In this genus-3 class two vertices complete at depth 4 of 6.  A
+    # visited prefix whose two sums of earlier labels differ in parity
+    # admits no label there, so the DFS prunes it.  Here the count alone
+    # would not show a missed clash: the vertex sums add up to twice the
+    # label sum, so one odd vertex needs a second, and this graph has no
+    # other depth to hide one.  The counters show it.
+    G = generate_genus_graphs(3)[2]
+    order = connected_edge_order(G)
+    t = 4
+    e = order[t]
+    triples = G.vertex_edge_triples()
+    done = [v for v in triples if set(v) <= set(order[:t])]
+    others = [[x for x in v if x != e] for v in triples if e in v and set(v) <= set(order[: t + 1])]
+    assert len(others) == 2 and all(len(o) == 2 for o in others)
+    for k in range(1, 5):
+        clashing = 0
+        for prefix in product(range(k + 1), repeat=t):
+            labels = dict(zip(order, prefix))
+            if all(vertex_conditions_hold(k, tuple(labels[x] for x in v)) for v in done):
+                sums = [labels[x] + labels[y] for x, y in others]
+                clashing += (sums[0] - sums[1]) % 2
+        assert clashing > 0
+        stats: dict = {}
+        assert count_admissible_bruteforce(G, k, stats=stats) == len(_full_scan(G, k))
+        assert (stats["nodes"], stats["pruned"]) == _scan_prefixes(G, k)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_bruteforce_equals_contraction_on_the_genus_six_necklace(k):
+    G = _necklace_graph(10)
+    n = count_admissible_bruteforce(G, k, max_states=(k + 1) ** G.edge_count)
+    assert n == count_via_contraction(G, k) == verlinde_dim(6, k)
 
 
 # ---------------------------------------------------------------------------
