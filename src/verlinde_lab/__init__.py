@@ -33,6 +33,7 @@ from verlinde_lab.polytope import (
     build_polytope,
     exact_volume,
     lattice_count,
+    lattice_counts,
     mc_volume,
 )
 from verlinde_lab.abelian import (
@@ -63,6 +64,7 @@ __all__ = [
     "gft_intersection_count",
     "is_admissible",
     "lattice_count",
+    "lattice_counts",
     "mc_volume",
     "theta_graph",
     "translate_label",

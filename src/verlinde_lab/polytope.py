@@ -11,12 +11,15 @@ the faces that opposite rows pin into a slab of zero width.
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity
 condition, so ``lattice_count`` must and does reproduce the weight counts.
-It counts them with a level-by-level numpy frontier of partial points along a
-connected edge order: at each coordinate the admitted labels of a partial
+``lattice_counts`` counts every requested level in one pass, with a numpy
+frontier of partial points fixed coordinate by coordinate along a connected
+edge order; each point carries its level's index, which selects its label
+box and row bounds.  At each coordinate the admitted labels of a partial
 point form an interval, cut to one parity class by the vertices that
 complete there, so the next frontier is a repeat of arithmetic progressions
-and the last coordinate is summed in closed form.  Frontiers are expanded
-depth-first in bounded slices, in int64 under a checked magnitude bound.
+and the last coordinate is summed per level in closed form.  Frontiers are
+expanded depth-first in bounded slices, in int64 under a checked magnitude
+bound per level.
 The parity condition thins the full (1/k)-lattice by 2^r, r = V - 1 the GF(2)
 rank of the parity system, so the counts grow as volume / 2^r times k^dim,
 with the volume in closed form (``moment_volume``); ``asymptotic_table``
@@ -44,10 +47,12 @@ MIN_MC_SAMPLES = 10**3
 
 _MC_CHUNK = 65536
 
-#: lattice_count expands each frontier in slices of at most this many cells.
+#: lattice_counts expands each frontier in slices of at most this many cells:
+#: a partial point's labels, and the bounds and products of the rows read at
+#: its next coordinate.
 _LATTICE_CHUNK = 65536
 
-#: lattice_count works in int64; integer rows must stay below this magnitude.
+#: lattice_counts works in int64; integer rows must stay below this magnitude.
 _LATTICE_INT_LIMIT = 2**62
 
 
@@ -74,17 +79,25 @@ class ClebschGordanPolytope:
 
 
 def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
-    """H-representation of the moment polytope of G, deterministic row order."""
+    """H-representation of the moment polytope of G, deterministic row order.
+
+    Rows are deduplicated on their sparse integer form, the nonzero
+    coefficients by edge and the bound, so the Python work per row is in
+    its support; the zeros of every dense row are one shared ``Fraction``.
+    """
     d = G.edge_count
+    zero = Fraction(0)
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
     seen = set()
 
     def add(coeffs: dict[int, int], bound: int):
-        a = tuple(Fraction(coeffs.get(i, 0)) for i in range(d))
-        row = (a, Fraction(bound))
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
+        key = (tuple(sorted((e, c) for e, c in coeffs.items() if c)), bound)
+        if key not in seen:
+            seen.add(key)
+            a = [zero] * d
+            for e, c in key[0]:
+                a[e] = Fraction(c)
+            rows.append((tuple(a), Fraction(bound)))
 
     for e in range(d):
         add({e: -1}, 0)
@@ -326,109 +339,140 @@ def _parity_plan(G: TrinionGraph, order: list[int]):
     return odd, even
 
 
-def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
-    """Points of (1/k)Z^dim in P whose labels j = k*c satisfy vertex parity.
+def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[int]:
+    """Per k in ``levels``, the points of (1/k)Z^dim in P whose labels j = k*c
+    satisfy vertex parity, all counted in one frontier pass.
 
     This is the polytope-side route to the weight count: only the
     H-representation and the parity condition are consulted.  Labels are
     fixed one coordinate at a time along ``connected_edge_order(G)``, for a
-    whole frontier of partial points at once.  Each coordinate's labels lie
-    in the box that P's single-coordinate rows give it; a coordinate without
-    both a lower and an upper such row raises ValueError.  At coordinate t
-    the labels a partial point admits form an interval, read from the rows
-    with a nonzero coefficient at t and the least the later coordinates can
-    add to each row within their boxes; the vertices completing at t cut it
-    to one parity class.
-    The next frontier repeats each partial point once per admitted label,
-    and the last coordinate is counted, not materialised.  Frontiers are
-    expanded depth-first in slices of at most ``_LATTICE_CHUNK`` label cells,
-    so memory stays bounded at any level and genus.  Arithmetic is int64;
-    rows whose magnitude could reach 2^62 raise ValueError before counting,
+    whole frontier of partial points at once, and the partial points of
+    every requested level share that frontier: each carries its level's
+    index, so the graph's rows, edge order and parity plan are read once
+    for all levels.  Each coordinate's labels lie in the box that P's
+    single-coordinate rows give it at that level; a coordinate without both
+    a lower and an upper such row raises ValueError.  At coordinate t the
+    labels a partial point admits form an interval, read from the rows with
+    a nonzero coefficient at t and the least the later coordinates can add
+    to each row within their boxes at the point's level; the vertices
+    completing at t cut it to one parity class.  The next frontier repeats
+    each partial point once per admitted label, and the last coordinate is
+    counted per level, not materialised.
+
+    Frontiers are expanded depth-first in slices.  A child point costs its
+    labels plus two cells per row read at its next coordinate, where that
+    row's bound is gathered for the point's level and its product with the
+    labels formed; a slice holds at most ``_LATTICE_CHUNK`` such cells, so
+    memory stays bounded at any level and genus.  Arithmetic is int64, and
+    the closing sums are exact past 2^63; a level whose rows' magnitude
+    could reach 2^62 raises ValueError, naming the level, before counting,
     and so does an edge count whose recursion, one frame per coordinate,
-    would pass Python's recursion limit.
+    would pass Python's recursion limit.  Levels may repeat and come in any
+    order; each must be at least 1.
     """
-    if k < 1:
+    levels = list(levels)
+    if any(k < 1 for k in levels):
         raise ValueError("level must be at least 1")
     d = P.dim
     if d != G.edge_count:
         raise ValueError("polytope dimension does not match the graph's edge count")
     # expand() once per coordinate, then admitted() and numpy's frames under it.
-    if not can_recurse(d + 5):
+    if not can_recurse(d + 4):
         raise ValueError(
-            f"lattice_count recurses once per coordinate: E = {d} edges need "
-            f"{d + 5} nested frames, more than the recursion limit "
-            f"{sys.getrecursionlimit()} leaves"
+            f"lattice_counts recurses once per coordinate: E = {d} edges need "
+            f"{d + 5} nested frames, its own among them, more than the recursion "
+            f"limit {sys.getrecursionlimit()} leaves"
         )
-    # Rows A . j <= B over the integer labels j = k*c.
-    rows = [(ia, ib * k) for ia, ib in P.integer_rows]
-    # Each coordinate's label box, from the rows that bound it alone.
-    lows: list[list[int]] = [[] for _ in range(d)]
-    highs: list[list[int]] = [[] for _ in range(d)]
-    for ia, ib in rows:
-        support = [e for e in range(d) if ia[e]]
-        if len(support) == 1:
-            c = ia[support[0]]
-            if c > 0:
-                highs[support[0]].append(ib // c)
-            else:
-                lows[support[0]].append(-(ib // -c))
+    ks = sorted(set(levels))
+    if not ks:
+        return []
+    # Each coordinate's bounding rows c * j_e <= b * k, from the rows with one
+    # nonzero coefficient.
+    lows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    highs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    support = [[(e, c) for e, c in enumerate(ia) if c] for ia, _ in P.integer_rows]
+    for (_, ib), sup in zip(P.integer_rows, support):
+        if len(sup) == 1:
+            e, c = sup[0]
+            (highs if c > 0 else lows)[e].append((c, ib))
     for e in range(d):
         if not lows[e] or not highs[e]:
             raise ValueError(
                 f"coordinate {e} has no lower or no upper single-coordinate row; "
-                "lattice_count reads each label box from those rows"
+                "lattice_counts reads each label box from those rows"
             )
-    box_lo = [max(v) for v in lows]
-    box_hi = [min(v) for v in highs]
-    reach = [max(abs(lo), abs(hi)) for lo, hi in zip(box_lo, box_hi)]
-    magnitude = max(
-        (sum(abs(c) * m for c, m in zip(ia, reach)) + abs(ib) for ia, ib in rows),
-        default=0,
-    )
-    if magnitude >= _LATTICE_INT_LIMIT:
-        raise ValueError(
-            f"integer rows at level {k} reach magnitude {magnitude}, past the "
-            "int64 working limit 2^62; lattice_count cannot count exactly"
+    box_lo, box_hi = [], []
+    for k in ks:
+        lo = [max(-(ib * k // -c) for c, ib in rows) for rows in lows]
+        hi = [min(ib * k // c for c, ib in rows) for rows in highs]
+        reach = [max(abs(x), abs(y)) for x, y in zip(lo, hi)]
+        magnitude = max(
+            (
+                sum(abs(c) * reach[e] for e, c in sup) + abs(ib * k)
+                for (_, ib), sup in zip(P.integer_rows, support)
+            ),
+            default=0,
         )
+        if magnitude >= _LATTICE_INT_LIMIT:
+            raise ValueError(
+                f"integer rows at level {k} reach magnitude {magnitude}, past the "
+                "int64 working limit 2^62; lattice_counts cannot count exactly"
+            )
+        box_lo.append(lo)
+        box_hi.append(hi)
     # A row with no coefficients never bounds a coordinate; check it once.
-    if any(ib < 0 for ia, ib in rows if not any(ia)):
-        return 0
-    rows = [(ia, ib) for ia, ib in rows if any(ia)]
+    if any(ib < 0 for (_, ib), sup in zip(P.integer_rows, support) if not sup):
+        return [0] * len(levels)
+    rows = [row for row, sup in zip(P.integer_rows, support) if sup]
     order = connected_edge_order(G)
+    # Rows A . j <= B[level] over the integer labels j, columns in edge order.
     A = np.array([[ia[e] for e in order] for ia, _ in rows], dtype=np.int64)
     A = A.reshape(-1, d)
-    B = np.array([ib for _, ib in rows], dtype=np.int64)
-    # min_rest[:, t]: least contribution of the coordinates at positions >= t.
-    min_rest = np.zeros((len(rows), d + 1), dtype=np.int64)
-    lo_t = np.array([box_lo[e] for e in order], dtype=np.int64)
-    hi_t = np.array([box_hi[e] for e in order], dtype=np.int64)
-    least = np.minimum(A * lo_t, A * hi_t)
-    min_rest[:, :d] = np.cumsum(least[:, ::-1], axis=1)[:, ::-1]
+    B = np.array([[ib * k for _, ib in rows] for k in ks], dtype=np.int64)
+    B = B.reshape(len(ks), -1)
+    lo_t = np.array(box_lo, dtype=np.int64)[:, order]
+    hi_t = np.array(box_hi, dtype=np.int64)[:, order]
+    # min_rest[level, row, t]: least contribution of the coordinates at t and after.
+    least = np.minimum(A * lo_t[:, None, :], A * hi_t[:, None, :])
+    min_rest = np.zeros((len(ks), len(rows), d + 1), dtype=np.int64)
+    min_rest[:, :, :d] = np.cumsum(least[:, :, ::-1], axis=2)[:, :, ::-1]
     odd, even = _parity_plan(G, order)
+    # Per coordinate, its rows with positive coefficients first: the earlier
+    # coordinates they read and their coefficients there, their bound at
+    # each level, and their coefficients' magnitudes.  Frontiers hold one
+    # column per point, so every per-point reduction runs down a column.
     plan = []
     for t in range(d):
-        r = np.flatnonzero(A[:, t])
-        plan.append((A[r, :t].T, B[r] - min_rest[r, t + 1], A[r, t]))
+        r = np.concatenate([np.flatnonzero(A[:, t] > 0), np.flatnonzero(A[:, t] < 0)])
+        up = int(np.count_nonzero(A[:, t] > 0))
+        read = np.flatnonzero(A[r, :t].any(axis=0))
+        bound = (B[:, r] - min_rest[:, r, t + 1]).T
+        plan.append((read, A[np.ix_(r, read)], bound, up, np.abs(A[r, t])[:, None]))
+    # Cells a point entering coordinate t costs: its t labels, then per row
+    # read at t the bound gathered for its level and the row's product.
+    cells = [t + 2 * len(plan[t][2]) for t in range(d)]
+    totals = [0] * len(ks)
 
-    def admitted(t: int, labels):
+    def admitted(t: int, labels, lev):
         """First admitted label, step and count at position t per partial point."""
-        A_prev, bound, coef = plan[t]
-        n = labels.shape[0]
-        lo = np.full(n, lo_t[t], dtype=np.int64)
-        hi = np.full(n, hi_t[t], dtype=np.int64)
+        read, A_read, bound, up, coef = plan[t]
+        # np.take keeps the gathered arrays C-ordered, as fancy indexing
+        # along the second axis does not.
+        lo = lo_t[:, t].take(lev)
+        hi = hi_t[:, t].take(lev)
         if coef.size:
-            slack = bound - labels @ A_prev
-            up, down = coef > 0, coef < 0
-            if up.any():
-                hi = np.minimum(hi, (slack[:, up] // coef[up]).min(axis=1))
-            if down.any():
-                lo = np.maximum(lo, (-(slack[:, down] // -coef[down])).max(axis=1))
+            slack = bound.take(lev, axis=1)
+            slack -= A_read @ labels[read]
+            if up:
+                hi = np.minimum(hi, (slack[:up] // coef[:up]).min(axis=0))
+            if up < coef.size:
+                lo = np.maximum(lo, -(slack[up:] // coef[up:]).min(axis=0))
         step = 1
         if odd[t] or even[t]:
-            ok = np.ones(n, dtype=bool)
+            ok = np.ones(len(lev), dtype=bool)
             for rest in even[t]:
-                ok &= labels[:, rest].sum(axis=1) % 2 == 0
-            parity = [labels[:, rest].sum(axis=1) % 2 for rest in odd[t]]
+                ok &= labels[rest].sum(axis=0) % 2 == 0
+            parity = [labels[rest].sum(axis=0) % 2 for rest in odd[t]]
             for p in parity[1:]:
                 ok &= p == parity[0]
             if parity:
@@ -438,13 +482,19 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
         cnt = np.maximum(hi - lo, -step) // step + 1
         return lo, step, cnt
 
-    def expand(t: int, labels) -> int:
-        lo, step, cnt = admitted(t, labels)
+    def expand(t: int, labels, lev):
+        lo, step, cnt = admitted(t, labels, lev)
         if t == d - 1:
-            return int(cnt.sum())
-        total = 0
+            # Summed per level as two 31-bit halves, each exact in int64
+            # for any slice of fewer than 2^32 points.
+            for shift, half in ((31, cnt >> 31), (0, cnt & (2**31 - 1))):
+                sums = np.zeros(len(ks), dtype=np.int64)
+                np.add.at(sums, lev, half)
+                for i, s in enumerate(sums.tolist()):
+                    totals[i] += s << shift
+            return
         ends = np.cumsum(cnt)
-        budget = max(_LATTICE_CHUNK // (t + 1), 1)
+        budget = max(_LATTICE_CHUNK // cells[t + 1], 1)
         start = 0
         while start < len(cnt):
             base = ends[start - 1] if start else 0
@@ -455,14 +505,23 @@ def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
             if parent.size:
                 # Rank of each child among its parent's admitted labels.
                 offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
-                child = np.empty((parent.size, t + 1), dtype=np.int64)
-                child[:, :t] = labels[parent]
-                child[:, t] = lo[parent] + step * offset
-                total += expand(t + 1, child)
+                child = np.empty((t + 1, parent.size), dtype=np.int64)
+                child[:t] = labels.take(parent, axis=1)
+                child[t] = lo[parent] + step * offset
+                expand(t + 1, child, lev[parent])
             start = stop
-        return total
 
-    return expand(0, np.zeros((1, 0), dtype=np.int64))
+    expand(0, np.zeros((0, len(ks)), dtype=np.int64), np.arange(len(ks)))
+    index = {k: i for i, k in enumerate(ks)}
+    return [totals[index[k]] for k in levels]
+
+
+def lattice_count(P: ClebschGordanPolytope, G: TrinionGraph, k: int) -> int:
+    """Points of (1/k)Z^dim in P whose labels j = k*c satisfy vertex parity.
+
+    The single-level form of ``lattice_counts``, which describes the route.
+    """
+    return lattice_counts(P, G, [k])[0]
 
 
 @dataclass(frozen=True)

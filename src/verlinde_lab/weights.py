@@ -26,21 +26,23 @@ for that edge), so no label is tried that fails a vertex closing there, and
 the last edge's progression is counted by its length without a loop.
 count_via_contraction gives every vertex a 0/1 numpy tensor over its edge
 labels and merges the tensors pairwise with np.einsum, in a greedy order
-that keeps the fewest edges open.  Condition (1) is a Z/2 charge each
-vertex conserves, so a tensor vanishes on every parity pattern of its open
-edges with odd sum; it is stored as one dense block per even pattern, about
-half of the (k+1)^width cells, and a merge multiplies only blocks that agree
-on the shared edges.  It computes in float64, which is exact while every
-count stays below 2^53, and switches to exact Python ints (dtype=object) at
-the first merge whose result reaches 2^53.  Each tensor's stored cells are
-checked against a budget before it is allocated; the default of 10^7 cells
-holds one tensor, at 8 bytes a cell, to about 80 MB.
+that keeps the fewest edges open, planned once per graph.  Condition (1)
+is a Z/2 charge each vertex conserves, so a tensor vanishes on every parity
+pattern of its open edges with odd sum; it is stored as one dense block per
+even pattern, about half of the (k+1)^width cells, and a merge multiplies
+only blocks that agree on the shared edges.  It computes in float64, which
+is exact while every count stays below 2^53, and switches to exact Python
+ints (dtype=object) at the first merge whose result reaches 2^53.  Every
+tensor's stored cells are checked against a budget before the first is
+allocated; the default of 10^7 cells holds one tensor, at 8 bytes a cell,
+to about 80 MB.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -286,24 +288,42 @@ def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
     and the four patterns of even sum; inside a block condition (1) holds by
     construction, so only the triangle bounds and the level cap are tested.
     The blocks are symmetric under permuting the edges together with the
-    pattern, so any axis order serves.  A loop vertex (l, l, t) is summed
-    over l at once: conditions (1)-(3) read t even, t <= 2l and 2l + t <= 2k,
-    which leaves k - t + 1 values of l for every even t, a single block on
-    the other edge.
+    pattern, so any axis order serves, and the three odd patterns are
+    transposes of one block.  A loop vertex (l, l, t) is summed over l at
+    once: conditions (1)-(3) read t even, t <= 2l and 2l + t <= 2k, which
+    leaves k - t + 1 values of l for every even t, a single block on the
+    other edge.
     """
-    labels = (np.arange(0, k + 1, 2), np.arange(1, k + 1, 2))
     if width == 1:
-        return {(0,): k + 1.0 - labels[0]}
-    blocks = {}
-    for pa, pb, pc in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        a, b, c = labels[pa][:, None], labels[pb][None, :], labels[pc]
-        # The third label runs from |a - b| to min(a + b, 2k - a - b); the
-        # bounds are built on the (a, b) plane so that every 3-D temporary
-        # is boolean.
-        lo = np.abs(a - b)[..., None]
-        hi = np.minimum(a + b, 2 * k - a - b)[..., None]
-        blocks[pa, pb, pc] = ((lo <= c) & (c <= hi)).astype(np.float64)
-    return blocks
+        return {(0,): k + 1.0 - np.arange(0, k + 1, 2)}
+
+    def band(pa: int, pb: int, pc: int) -> np.ndarray:
+        b = np.arange(pb, k + 1, 2)[:, None]
+        c = np.arange(pc, k + 1, 2)[None, :]
+        # The first label runs from |b - c| to min(b + c, 2k - b - c), both
+        # of its parity, so for each (b, c) the block holds one run of ones
+        # down its first axis.  Mark where each run starts and, on a spare
+        # last slab if need be, where it has ended; a running sum down that
+        # axis, slab by slab, fills it.
+        lo = (np.abs(b - c) - pa) // 2
+        hi = (np.minimum(b + c, 2 * k - b - c) - pa) // 2
+        n = (k - pa) // 2 + 1
+        block = np.zeros((n + 1, b.size, c.size))
+        y, z = np.arange(b.size)[:, None], np.arange(c.size)[None, :]
+        block[lo, y, z] = 1.0
+        block[hi + 1, y, z] = -1.0
+        for x in range(1, n):
+            block[x] += block[x - 1]
+        return block[:n]
+
+    # Contiguous copies: einsum runs slower on transposed views.
+    odd = band(0, 1, 1)
+    return {
+        (0, 0, 0): band(0, 0, 0),
+        (0, 1, 1): odd,
+        (1, 0, 1): np.ascontiguousarray(odd.transpose(1, 0, 2)),
+        (1, 1, 0): np.ascontiguousarray(odd.transpose(2, 1, 0)),
+    }
 
 
 def _to_int(blocks: dict) -> dict:
@@ -311,35 +331,112 @@ def _to_int(blocks: dict) -> dict:
     return {p: block.astype(np.int64).astype(object) for p, block in blocks.items()}
 
 
-def _merge(edges_a: tuple, a: dict, edges_b: tuple, b: dict):
+@dataclass(frozen=True)
+class _Merge:
+    """One pairwise merge of a contraction plan.
+
+    It consumes the tensors in slots ``a`` and ``b`` and fills the next
+    free slot with a tensor whose open edges are ``out``.  ``pairs`` lists,
+    per pair of blocks that agree on the shared edges, the patterns of a's
+    block, b's block and the merged block it adds into; one ``np.einsum``
+    call in sublist form runs per pair.
+    """
+
+    a: int
+    b: int
+    width: int
+    subs_a: tuple[int, ...]
+    subs_b: tuple[int, ...]
+    subs_out: tuple[int, ...]
+    out: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=4096)
+def _contraction_plan(
+    pairing: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[_Merge, ...]]:
+    """The open-edge count of each vertex tensor, and the merges in order.
+
+    Vertex v's tensor fills slot v and merge m fills slot V + m.  Merges
+    follow a greedy order: the pair whose merge leaves the fewest open
+    edges, ties broken by position in the list of live tensors, a merge's
+    result appended last.  Every edge carries k + 1 labels and the parity
+    patterns of a tensor's blocks do not depend on k either, so the plan,
+    read off the blocks at k = 0, serves every level.  Subscripts are
+    numbered per merge, since einsum accepts at most 52 of them.
+    """
+    G = TrinionGraph(pairing)
+    edges: list[tuple[int, ...]] = []
+    patterns: list[list[tuple[int, ...]]] = []
+    for triple in G.vertex_edge_triples():
+        # A loop's label is summed inside its vertex blocks, so only edges
+        # that appear once in the triple stay open.
+        open_edges = tuple(e for e in sorted(set(triple)) if triple.count(e) == 1)
+        edges.append(open_edges)
+        patterns.append(list(_vertex_blocks(len(open_edges), 0)))
+    widths = tuple(len(e) for e in edges)
+    live = list(range(len(edges)))
+    merges = []
+    while len(live) > 1:
+        best = None
+        for i in range(len(live)):
+            for j in range(i + 1, len(live)):
+                edges_i, edges_j = set(edges[live[i]]), set(edges[live[j]])
+                if not edges_i & edges_j:
+                    continue
+                cand = (len(edges_i ^ edges_j), i, j)
+                if best is None or cand < best:
+                    best = cand
+        assert best is not None, "connected graph always leaves a sharing pair"
+        width, i, j = best
+        a, b = live[i], live[j]
+        edges_a, edges_b = edges[a], edges[b]
+        sub = {e: n for n, e in enumerate(dict.fromkeys(edges_a + edges_b))}
+        out = tuple(e for e in edges_a + edges_b if (e in edges_a) != (e in edges_b))
+        shared_a = [i for i, e in enumerate(edges_a) if e in edges_b]
+        shared_b = [edges_b.index(edges_a[i]) for i in shared_a]
+        # Where each open edge's parity is read: (0, axis) in a, (1, axis) in b.
+        out_from = [
+            (0, edges_a.index(e)) if e in edges_a else (1, edges_b.index(e)) for e in out
+        ]
+        b_by_shared: dict[tuple, list] = {}
+        for pb in patterns[b]:
+            b_by_shared.setdefault(tuple(pb[i] for i in shared_b), []).append(pb)
+        pairs = [
+            (pa, pb, tuple((pa, pb)[side][i] for side, i in out_from))
+            for pa in patterns[a]
+            for pb in b_by_shared.get(tuple(pa[i] for i in shared_a), ())
+        ]
+        merges.append(
+            _Merge(
+                a,
+                b,
+                width,
+                tuple(sub[e] for e in edges_a),
+                tuple(sub[e] for e in edges_b),
+                tuple(sub[e] for e in out),
+                out,
+                tuple(pairs),
+            )
+        )
+        live = [s for s in live if s not in (a, b)] + [len(edges)]
+        edges.append(out)
+        patterns.append(list(dict.fromkeys(p for _, _, p in pairs)))
+    return widths, tuple(merges)
+
+
+def _merge(m: _Merge, a: dict, b: dict):
     """Sum a * b over their shared edges; returns (open edges, blocks).
 
-    A block of a meets only the blocks of b with the same parities on the
-    shared edges.  Each such pair is one ``np.einsum`` call in sublist form,
-    added into the block of its pattern on the open edges.  Subscripts are
-    numbered per merge, since einsum accepts at most 52 of them, and its
-    default ``optimize=False`` keeps it off BLAS.
+    One einsum runs per block pair of ``m.pairs``, and its default
+    ``optimize=False`` keeps it off BLAS.
     """
-    sub = {e: n for n, e in enumerate(dict.fromkeys(edges_a + edges_b))}
-    out = tuple(e for e in edges_a + edges_b if (e in edges_a) != (e in edges_b))
-    subs_a, subs_b = [sub[e] for e in edges_a], [sub[e] for e in edges_b]
-    subs_out = [sub[e] for e in out]
-    shared_a = [i for i, e in enumerate(edges_a) if e in edges_b]
-    shared_b = [edges_b.index(edges_a[i]) for i in shared_a]
-    # Where each open edge's parity is read: (0, axis) in a, (1, axis) in b.
-    out_from = [
-        (0, edges_a.index(e)) if e in edges_a else (1, edges_b.index(e)) for e in out
-    ]
-    b_by_shared: dict[tuple, list] = {}
-    for pb, block_b in b.items():
-        b_by_shared.setdefault(tuple(pb[i] for i in shared_b), []).append((pb, block_b))
     merged: dict[tuple[int, ...], np.ndarray] = {}
-    for pa, block_a in a.items():
-        for pb, block_b in b_by_shared.get(tuple(pa[i] for i in shared_a), ()):
-            pattern = tuple((pa, pb)[side][i] for side, i in out_from)
-            term = np.einsum(block_a, subs_a, block_b, subs_b, subs_out)
-            merged[pattern] = merged[pattern] + term if pattern in merged else term
-    return out, merged
+    for pa, pb, pattern in m.pairs:
+        term = np.einsum(a[pa], m.subs_a, b[pb], m.subs_b, m.subs_out)
+        merged[pattern] = merged[pattern] + term if pattern in merged else term
+    return m.out, merged
 
 
 def count_via_contraction(
@@ -353,16 +450,17 @@ def count_via_contraction(
     Condition (1) is a Z/2 charge that every vertex conserves, so every
     tensor, a vertex's or a merged one, vanishes on each parity pattern of
     its open edges whose sum is odd.  A tensor is therefore stored as
-    (edges, blocks): one dense float64 array per even pattern p, over the
+    blocks: one dense float64 array per even pattern p, over the
     half-indices h of the labels j = 2h + p.  With n0 = k//2 + 1 even and
     n1 = (k+1)//2 odd labels, a tensor of width w stores
     ((n0+n1)^w + (n0-n1)^w)/2 cells, about half of (k+1)^w, and a merge
     does about a quarter of the dense multiply-adds.
 
-    Tensors are merged pairwise in a greedy order: the pair whose merge
-    leaves the fewest open edges, ties broken by list position.  A merge
-    runs one ``np.einsum`` per pair of blocks that agree on the shared
-    edges.  Before any tensor is built, its stored cells are checked
+    Tensors are merged pairwise in the order of ``_contraction_plan``,
+    built once per graph: the pair whose merge leaves the fewest open
+    edges, ties broken by list position.  A merge runs one ``np.einsum``
+    per pair of blocks that agree on the shared edges.  Before any tensor
+    is built, the stored cells of every tensor the plan builds are checked
     against ``max_frontier``; the default budget of 10^7 cells bounds one
     tensor at about 80 MB.  Agrees with count_admissible_bruteforce by
     construction of the vertex blocks.
@@ -385,11 +483,10 @@ def count_via_contraction(
     """
     if k < 0:
         raise ValueError("level must be non-negative")
+    widths, merges = _contraction_plan(G.pairing)
     n0, n1 = k // 2 + 1, (k + 1) // 2
     peak = 0
-
-    def check_budget(width: int):
-        nonlocal peak
+    for width in (*widths, *(m.width for m in merges)):
         need = ((n0 + n1) ** width + (n0 - n1) ** width) // 2
         if need > max_frontier:
             raise FrontierBudgetExceeded(
@@ -401,46 +498,25 @@ def count_via_contraction(
 
     # Vertex blocks depend on the width alone, and merges never write to
     # their operands, so vertices of one width share a single dict.
-    built: dict[int, dict] = {}
-    tensors = []
-    for triple in G.vertex_edge_triples():
-        # A loop's label is summed inside its vertex blocks, so only edges
-        # that appear once in the triple stay open.
-        edges = tuple(e for e in sorted(set(triple)) if triple.count(e) == 1)
-        check_budget(len(edges))
-        if len(edges) not in built:
-            built[len(edges)] = _vertex_blocks(len(edges), k)
-        tensors.append((edges, built[len(edges)]))
-
+    built = {w: _vertex_blocks(w, k) for w in sorted(set(widths))}
+    # The live tensors by slot; a merge frees its operands' slots.
+    slots = {v: built[w] for v, w in enumerate(widths)}
     int_from = None
-    for step in range(len(tensors) - 1):
-        best = None
-        for i in range(len(tensors)):
-            for j in range(i + 1, len(tensors)):
-                edges_i, edges_j = set(tensors[i][0]), set(tensors[j][0])
-                if not edges_i & edges_j:
-                    continue
-                cand = (len(edges_i ^ edges_j), i, j)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None, "connected graph always leaves a sharing pair"
-        width, i, j = best
-        check_budget(width)
-        (edges_a, a), (edges_b, b) = tensors[i], tensors[j]
-        tensors = [t for idx, t in enumerate(tensors) if idx not in (i, j)]
-        edges, merged = _merge(edges_a, a, edges_b, b)
+    for step, m in enumerate(merges):
+        a, b = slots.pop(m.a), slots.pop(m.b)
+        edges, merged = _merge(m, a, b)
         # The odd blocks are empty at k = 0, hence initial=0.
         if int_from is None and max(
             np.max(block, initial=0) for block in merged.values()
         ) >= _FLOAT_EXACT_LIMIT:
             int_from = step
-            tensors = [(e, _to_int(t)) for e, t in tensors]
-            edges, merged = _merge(edges_a, _to_int(a), edges_b, _to_int(b))
-        tensors.append((edges, merged))
+            slots = {s: _to_int(t) for s, t in slots.items()}
+            edges, merged = _merge(m, _to_int(a), _to_int(b))
+        slots[len(widths) + step] = merged
 
     if stats is not None:
         stats["peak_cells"] = peak
         stats["int_from_merge"] = int_from
-    edges, final = tensors[0]
+    (final,) = slots.values()
     assert edges == ()
     return int(final[()])

@@ -341,22 +341,53 @@ def test_check_emits_checks_in_order(capsys, max_states, expected):
     assert all(list(c)[:2] == ["name", "passed"] for c in report["checks"])
 
 
+def test_check_counts_each_graph_lattice_in_one_pass(capsys, monkeypatch):
+    real, calls = cli.polytope.lattice_counts, []
+
+    def recording(P, G, levels):
+        calls.append(list(levels))
+        return real(P, G, levels)
+
+    monkeypatch.setattr(cli.polytope, "lattice_counts", recording)
+    code, report, _ = run_json(capsys, "check", "--genus", "2", "--max-level", "3")
+    assert code == 0
+    assert calls == [[1, 2, 3], [1, 2, 3]]
+    lattice = [c["lattice"] for c in report["checks"] if "lattice" in c]
+    assert lattice == [4, 4, 10, 10, 20, 20]
+
+
+def test_check_budget_error_comes_before_the_lattice_pass(capsys, monkeypatch):
+    # A plain vertex stores 32 cells at k = 3, past a budget of 20: the
+    # contraction at every level runs before any lattice count.
+    calls = []
+    monkeypatch.setattr(cli.polytope, "lattice_counts", lambda *args: calls.append(args))
+    code, out, err = run_cli(
+        capsys, "check", "--genus", "2", "--max-level", "4", "--max-frontier", "20"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: frontier of 3 open edges") and "= 32 cells" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "module, route, first",
     [
         ("weights", "count_via_contraction", "contraction-equals-verlinde[k=2]"),
         ("weights", "count_admissible_bruteforce", "brute-equals-contraction[k=2,theta]"),
-        ("polytope", "lattice_count", "lattice-equals-contraction[k=2,theta]"),
+        ("polytope", "lattice_counts", "lattice-equals-contraction[k=2,theta]"),
     ],
     ids=["contraction", "brute", "lattice"],
 )
 def test_check_reports_first_discrepancy(capsys, monkeypatch, module, route, first):
-    # Sabotage one route to verify the failure contract: nonzero exit and a
-    # first-discrepancy line on stderr.  Every route takes the level last.
+    # Sabotage one route at level 2 to verify the failure contract: nonzero
+    # exit and a first-discrepancy line on stderr.  Every route takes the
+    # level last; lattice_counts takes a list of levels and returns a list.
     real = getattr(getattr(cli, module), route)
 
     def wrong(*args, **kwargs):
         value = real(*args, **kwargs)
+        if isinstance(value, list):
+            return [n + 1 if k == 2 else n for k, n in zip(args[-1], value)]
         return value + 1 if args[-1] == 2 else value
 
     monkeypatch.setattr(getattr(cli, module), route, wrong)

@@ -1,5 +1,6 @@
 """Tests for the moment polytope: H-rep, exact volume, lattice counts, asymptotics."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from verlinde_lab.polytope import (
     exact_volume,
     from_json_dict,
     lattice_count,
+    lattice_counts,
     mc_volume,
     moment_volume,
     to_json_dict,
@@ -100,6 +102,43 @@ def test_contains_dimension_mismatch():
 
 def test_build_deterministic():
     assert build_polytope(THETA) == build_polytope(THETA)
+
+
+def _dense_build_polytope(G) -> ClebschGordanPolytope:
+    """The rows of ``build_polytope``, deduplicated as dense Fraction tuples."""
+    d = G.edge_count
+    rows, seen = [], set()
+
+    def add(coeffs, bound):
+        row = (tuple(Fraction(coeffs.get(i, 0)) for i in range(d)), Fraction(bound))
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
+
+    for e in range(d):
+        add({e: -1}, 0)
+        add({e: 1}, 1)
+    for triple in G.vertex_edge_triples():
+        for x in range(3):
+            coeffs = {triple[x]: 1}
+            for y in range(3):
+                if y != x:
+                    coeffs[triple[y]] = coeffs.get(triple[y], 0) - 1
+            if any(coeffs.values()):
+                add(coeffs, 0)
+        total = {}
+        for e in triple:
+            total[e] = total.get(e, 0) + 1
+        add(total, 2)
+    return ClebschGordanPolytope(d, tuple(rows))
+
+
+def test_build_rows_and_json_match_the_dense_construction():
+    graphs = [G for g in (2, 3, 4) for G in generate_genus_graphs(g)]
+    for G in (*graphs, graph._necklace_graph(38)):
+        P, expected = build_polytope(G), _dense_build_polytope(G)
+        assert P.ineqs == expected.ineqs
+        assert json.dumps(to_json_dict(P)) == json.dumps(to_json_dict(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +579,89 @@ def test_lattice_count_needs_a_label_box():
             Q = ClebschGordanPolytope(P.dim, P.ineqs[:i] + P.ineqs[i + 1 :])
             with pytest.raises(ValueError, match="single-coordinate"):
                 lattice_count(Q, THETA, 1)
+
+
+@pytest.mark.parametrize("g,k_max", [(2, 10), (3, 6), (4, 4)])
+def test_lattice_counts_equal_each_level_on_every_class(g, k_max):
+    levels = range(1, k_max + 1)
+    for G in generate_genus_graphs(g):
+        P = build_polytope(G)
+        counts = lattice_counts(P, G, levels)
+        assert counts == [lattice_count(P, G, k) for k in levels], G
+        assert counts == [verlinde_dim(g, k) for k in levels], G
+
+
+def test_lattice_counts_on_cut_and_widened_polytopes():
+    # The polytopes of the rational-cut and label-box tests, every level in
+    # one pass: each level reads its own box and row bounds.
+    f = Fraction
+    for G, k_max in ((THETA, 7), (DUMBBELL, 7), (generate_genus_graphs(3)[2], 2)):
+        P = build_polytope(G)
+        d = P.dim
+        cuts = (
+            (tuple(f(-3) if i == 0 else f(0) for i in range(d)), f(-1)),
+            (tuple({1: f(1), 2: f(-1, 5)}.get(i, f(0)) for i in range(d)), f(2, 3)),
+        )
+        Q = ClebschGordanPolytope(d, P.ineqs + cuts)
+        levels = list(range(1, k_max + 1))
+        assert lattice_counts(Q, G, levels) == [_lattice_oracle(Q, G, k) for k in levels]
+    P = build_polytope(THETA)
+    rows = [(a, 2 * b if b == 1 else b) for a, b in P.ineqs if b != 2]
+    Q = ClebschGordanPolytope(P.dim, tuple(rows))
+    expected = [_lattice_oracle(Q, THETA, k, range(2 * k + 1)) for k in (1, 2, 3)]
+    assert lattice_counts(Q, THETA, [1, 2, 3]) == expected
+    rows = [(a, f(1)) for a, _ in _box(3).ineqs]
+    rows += [((f(1), f(1), f(-1)), f(1, 2)), ((f(1), f(1), f(1)), f(-1, 2))]
+    Q = ClebschGordanPolytope(3, tuple(rows))
+    expected = [_lattice_oracle(Q, THETA, k, range(-k, k + 1)) for k in (1, 2, 3)]
+    assert lattice_counts(Q, THETA, [1, 2, 3]) == expected
+
+
+def test_lattice_counts_take_levels_in_any_order():
+    P = build_polytope(DUMBBELL)
+    single = {k: lattice_count(P, DUMBBELL, k) for k in (1, 2, 3, 5)}
+    levels = [5, 1, 3, 1, 2, 5]
+    assert lattice_counts(P, DUMBBELL, levels) == [single[k] for k in levels]
+    assert lattice_counts(P, DUMBBELL, []) == []
+
+
+def test_lattice_counts_require_positive_levels():
+    with pytest.raises(ValueError, match="at least 1"):
+        lattice_counts(build_polytope(THETA), THETA, [2, 0, 3])
+
+
+def test_lattice_counts_int64_guard_names_the_level():
+    # As in test_lattice_count_int64_guard: level 1 fits, levels 2 and 3 do
+    # not, and the error names the least of them.
+    data = to_json_dict(build_polytope(THETA))
+    data["ineqs"].append([f"1/{2**61}", "0", "0", "1"])
+    P = from_json_dict(data)
+    assert lattice_counts(P, THETA, [1, 1]) == [4, 4]
+    with pytest.raises(ValueError, match="at level 2 .* 2\\^62"):
+        lattice_counts(P, THETA, [3, 1, 2])
+
+
+def test_lattice_counts_sliced_frontier(monkeypatch):
+    cases = [(G, build_polytope(G)) for g in (2, 3) for G in generate_genus_graphs(g)]
+    expected = [lattice_counts(P, G, range(1, 7)) for G, P in cases]
+    monkeypatch.setattr(polytope, "_LATTICE_CHUNK", 1)
+    assert [lattice_counts(P, G, range(1, 7)) for G, P in cases] == expected
+
+
+def test_lattice_counts_past_int64_are_exact():
+    # The box [0, 7]^2 x [-2^60, 2^60] with theta's parity, j_0 + j_1 + j_2
+    # even: 32 label pairs (j_0, j_1) of even sum admit the 2^60 + 1 even
+    # j_2, the 32 others the 2^60 odd ones.  The count passes 2^63 while
+    # every row stays below the 2^62 working limit.
+    f = Fraction
+    n = 2**60
+    rows = []
+    for e, hi in enumerate((7, 7, n)):
+        unit = tuple(f(1) if i == e else f(0) for i in range(3))
+        rows.append((unit, f(hi)))
+        rows.append((tuple(-c for c in unit), f(0) if hi == 7 else f(n)))
+    Q = ClebschGordanPolytope(3, tuple(rows))
+    assert lattice_counts(Q, THETA, [1]) == [32 * (n + 1) + 32 * n]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

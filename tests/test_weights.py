@@ -317,6 +317,59 @@ def test_vertex_blocks_reassemble_dense_tensor(k):
             assert dense[labels] == want, labels
 
 
+def _dense_vertex_blocks(width, k):
+    """The even-parity blocks built by broadcasting the triangle and cap
+    bounds over each pattern's 3-D grid of labels."""
+    labels = (np.arange(0, k + 1, 2), np.arange(1, k + 1, 2))
+    if width == 1:
+        return {(0,): k + 1.0 - labels[0]}
+    blocks = {}
+    for pa, pb, pc in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        a, b, c = labels[pa][:, None], labels[pb][None, :], labels[pc]
+        lo = np.abs(a - b)[..., None]
+        hi = np.minimum(a + b, 2 * k - a - b)[..., None]
+        blocks[pa, pb, pc] = ((lo <= c) & (c <= hi)).astype(np.float64)
+    return blocks
+
+
+@pytest.mark.parametrize("k", [*range(0, 13), 200])
+def test_vertex_blocks_equal_the_broadcast_construction(k):
+    for width in (1, 3):
+        blocks = weights._vertex_blocks(width, k)
+        expected = _dense_vertex_blocks(width, k)
+        assert list(blocks) == list(expected)
+        for pattern, block in expected.items():
+            assert blocks[pattern].dtype == np.float64
+            assert blocks[pattern].shape == block.shape
+            assert np.array_equal(blocks[pattern], block), (width, k, pattern)
+
+
+def test_contraction_plan_is_built_once_per_pairing():
+    G = generate_genus_graphs(3)[2]
+    weights._contraction_plan.cache_clear()
+    for k in range(5):
+        count_via_contraction(G, k)
+    count_via_contraction(type(G)(G.pairing), 5)
+    info = weights._contraction_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    widths, merges = weights._contraction_plan(G.pairing)
+    assert len(widths) == G.vertex_count and len(merges) == G.vertex_count - 1
+    assert merges[-1].out == ()
+
+
+def test_contraction_budget_fails_before_any_merge(monkeypatch):
+    # The plan knows every tensor's width, so a budget that only the third
+    # merge, of width 4, exceeds raises before the first einsum.
+    merges = []
+    monkeypatch.setattr(weights, "_merge", lambda *args: merges.append(args))
+    G = generate_genus_graphs(4)[3]
+    _, plan = weights._contraction_plan(G.pairing)
+    assert [m.width for m in plan] == [2, 3, 4, 3, 0]
+    with pytest.raises(FrontierBudgetExceeded, match="frontier of 4 open edges"):
+        count_via_contraction(G, 4, max_frontier=_stored_cells(4, 4) - 1)
+    assert merges == []
+
+
 @pytest.mark.parametrize("k", range(0, 8))
 def test_merged_tensors_store_the_closed_form_cells(k, monkeypatch):
     # Every merge of a connected graph fills all even patterns of its open
