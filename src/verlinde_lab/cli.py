@@ -263,6 +263,10 @@ def cmd_polytope(args) -> RunReport:
                 f"leading-coefficient-equals-parity-corrected-volume[{ident}]",
                 table.leading_coefficient == table.volume_parity_corrected,
             )
+            report.add_check(
+                f"count-polynomial-equals-verlinde-polynomial[{ident}]",
+                table.count_polynomial == fusion.verlinde_polynomial(G.genus).monomials(),
+            )
             report.outputs.setdefault("tables", []).append(entry)
     return report
 

@@ -23,7 +23,8 @@ bound per level.
 The parity condition thins the full (1/k)-lattice by 2^r, r = V - 1 the GF(2)
 rank of the parity system, so the counts grow as volume / 2^r times k^dim,
 with the volume in closed form (``moment_volume``); ``asymptotic_table``
-checks this exactly on the count polynomial.
+checks this exactly on the count polynomial, whose every coefficient must
+also equal the Verlinde polynomial's.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import comb, factorial, gcd, lcm
 
 import mpmath
@@ -70,11 +72,20 @@ class ClebschGordanPolytope:
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The rows (a, b), each scaled by the lcm of its denominators to integers."""
+        """The rows (a, b), each scaled by the lcm of its denominators to integers.
+
+        Only a row's nonzero entries are scaled; its zeros are written as 0
+        with no ``Fraction`` arithmetic.
+        """
         out = []
+        edges = range(self.dim)
         for a, b in self.ineqs:
-            scale = lcm(*(f.denominator for f in (*a, b)))
-            out.append((tuple(int(f * scale) for f in a), int(b * scale)))
+            support = list(compress(edges, a))
+            scale = lcm(b.denominator, *(a[e].denominator for e in support))
+            row = [0] * self.dim
+            for e in support:
+                row[e] = a[e].numerator * (scale // a[e].denominator)
+            out.append((tuple(row), b.numerator * (scale // b.denominator)))
         return tuple(out)
 
 
@@ -548,7 +559,9 @@ class AsymptoticTable:
     ``leading_coefficient`` is its exact leading coefficient.  ``volume`` is
     the closed-form ``moment_volume``; the parity condition keeps only a 2^r
     fraction of the lattice, so ``volume_parity_corrected`` = volume / 2^r is
-    the constant the leading coefficient equals.  ``extrapolated_limit`` fits
+    the constant the leading coefficient equals.  ``count_polynomial`` holds
+    all d+1 coefficients, of n^0..n^d in n = k+2, the variable of
+    ``fusion.verlinde_polynomial``.  ``extrapolated_limit`` fits
     count/k^d = C + a/k + b/k^2 through the last three levels (None when
     fewer than three rows exist).
     """
@@ -560,6 +573,7 @@ class AsymptoticTable:
     parity_rank: int
     volume_parity_corrected: Fraction
     leading_coefficient: Fraction
+    count_polynomial: tuple[Fraction, ...]
 
 
 def _fit_limit(points: list[tuple[int, Fraction]]) -> Fraction:
@@ -593,6 +607,16 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
             f"contraction counts at k = 0..{d + 1} are not a polynomial of degree "
             f"{d} in k: their {d + 1}-th difference is {diffs[d + 1]}"
         )
+    # d! N as a polynomial in n = k+2: N = sum_i diffs[i] C(n-2, i), where
+    # i! C(n-2, i) is the falling product (n-2)(n-3)...(n-1-i).
+    scaled, falling = [0] * (d + 1), [1]
+    for i in range(d + 1):
+        weight = diffs[i] * (factorial(d) // factorial(i))
+        for j, c in enumerate(falling):
+            scaled[j] += weight * c
+        # falling *= (n - 2 - i)
+        falling = [a - (2 + i) * b for a, b in zip([0, *falling], [*falling, 0])]
+    count_polynomial = tuple(Fraction(c, factorial(d)) for c in scaled)
     rows = []
     for k in range(1, k_max + 1):
         n = sum(comb(k, i) * diffs[i] for i in range(d + 1))
@@ -611,7 +635,8 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
         volume=vol,
         parity_rank=r,
         volume_parity_corrected=vol / 2**r,
-        leading_coefficient=Fraction(diffs[d], factorial(d)),
+        leading_coefficient=count_polynomial[d],
+        count_polynomial=count_polynomial,
     )
 
 

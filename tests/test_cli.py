@@ -239,8 +239,11 @@ def test_verlinde_large_rank_exact(capsys):
     )
 
 
-def test_verlinde_non_integer_rank_is_an_error(capsys, monkeypatch):
+def test_verlinde_non_integer_rank_is_an_error(capsys, monkeypatch, fresh_verlinde_cache):
     # A corrupted series must end the run with an error, never a rounded integer.
+    # The polynomial is cached per genus: the fixture empties the cache before
+    # the call, so it is built from the corrupted series, and after the test,
+    # so the corrupted polynomial is not left for later tests.
     real = cli.fusion._series_power
 
     def off_by_a_third(a, e):
@@ -476,8 +479,36 @@ def test_polytope_asymptotics_json(capsys):
     assert all(c["passed"] for c in report["checks"])
     assert [c["name"] for c in report["checks"]] == [
         "leading-coefficient-equals-parity-corrected-volume[theta]",
+        "count-polynomial-equals-verlinde-polynomial[theta]",
         "leading-coefficient-equals-parity-corrected-volume[dumbbell]",
+        "count-polynomial-equals-verlinde-polynomial[dumbbell]",
     ]
+
+
+def test_polytope_asymptotics_fails_on_a_perturbed_low_order_coefficient(
+    capsys, monkeypatch
+):
+    # One more weight at every level adds 1 to the count polynomial's constant
+    # term: still of degree 3 with leading coefficient 1/6, so only the
+    # whole-polynomial comparison catches it.
+    real = cli.polytope.count_via_contraction
+    monkeypatch.setattr(
+        cli.polytope, "count_via_contraction", lambda G, k, **kw: real(G, k, **kw) + 1
+    )
+    code, report, err = run_json(
+        capsys, "polytope", "--genus", "2", "--mode", "asymptotics", "--k-max", "5"
+    )
+    assert code == 1
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "leading-coefficient-equals-parity-corrected-volume[theta]": True,
+        "count-polynomial-equals-verlinde-polynomial[theta]": False,
+        "leading-coefficient-equals-parity-corrected-volume[dumbbell]": True,
+        "count-polynomial-equals-verlinde-polynomial[dumbbell]": False,
+    }
+    assert err == (
+        "failed checks: count-polynomial-equals-verlinde-polynomial[theta], "
+        "count-polynomial-equals-verlinde-polynomial[dumbbell]\n"
+    )
 
 
 def _is_three_point_fit(limit, rows, d):
@@ -499,11 +530,15 @@ def test_polytope_asymptotics_exact_checks(capsys, genus, k_max, leading):
     )
     assert code == 0
     d = 3 * genus - 3
-    tables = report["outputs"]["tables"]
-    assert len(tables) == len(report["checks"]) == {3: 5, 4: 17}[genus]
-    for entry, check in zip(tables, report["checks"]):
-        assert check == {
+    tables, checks = report["outputs"]["tables"], report["checks"]
+    assert len(tables) == len(checks) // 2 == {3: 5, 4: 17}[genus]
+    for entry, leading_check, polynomial_check in zip(tables, checks[::2], checks[1::2]):
+        assert leading_check == {
             "name": f"leading-coefficient-equals-parity-corrected-volume[{entry['graph']}]",
+            "passed": True,
+        }
+        assert polynomial_check == {
+            "name": f"count-polynomial-equals-verlinde-polynomial[{entry['graph']}]",
             "passed": True,
         }
         assert entry["leading_coefficient"] == leading == entry["volume_parity_corrected"]

@@ -1,6 +1,7 @@
 """Tests for the level-k fusion ring, its characters, and the Verlinde formula."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
@@ -18,7 +19,9 @@ from verlinde_lab.fusion import (
     clebsch_gordan,
     fusion_product,
     verlinde_dim,
+    verlinde_polynomial,
 )
+from verlinde_lab.polytope import moment_volume
 from verlinde_lab.weights import count_via_contraction
 
 
@@ -249,8 +252,49 @@ def _reference_rank(g: int, k: int) -> int:
 
 
 @pytest.mark.parametrize("g, k", LARGE_RANKS)
-def test_verlinde_dim_exact_at_large_ranks(g, k):
-    assert verlinde_dim(g, k) == _reference_rank(g, k)
+def test_verlinde_dim_exact_at_large_ranks(g, k, fresh_verlinde_cache):
+    # The first call builds the genus's polynomial, the second reads it cached.
+    assert verlinde_dim(g, k) == _reference_rank(g, k) == verlinde_dim(g, k)
+
+
+def test_verlinde_polynomial_shape():
+    assert verlinde_polynomial(2) == fusion.VerlindePolynomial(6, (-1, 1))
+    for g in range(2, 13):
+        P = verlinde_polynomial(g)
+        assert P is verlinde_polynomial(g)
+        assert len(P.coeffs) == g and P.denominator > 0
+        assert len(P.monomials()) == 3 * g - 2
+    with pytest.raises(ValueError, match="genus"):
+        verlinde_polynomial(1)
+
+
+def test_verlinde_polynomial_top_coefficient_is_the_volume_law():
+    # The rank grows as k^(3g-3) times moment_volume(g) / 2^r, r = 2g-3 the
+    # parity rank, and n = k+2 has the same leading coefficient as k.
+    for g in range(2, 13):
+        P = verlinde_polynomial(g)
+        assert Fraction(P.coeffs[-1], P.denominator) == moment_volume(g) / 2 ** (2 * g - 3)
+        assert P.monomials()[-1] == Fraction(P.coeffs[-1], P.denominator)
+
+
+def test_corrupted_cached_polynomial_raises_on_every_call(monkeypatch, fresh_verlinde_cache):
+    # A wrong constant term of the x/sin x power gives (4n^3 - 3n)/18 at
+    # genus 2, fractional at n = 2..5.  The polynomial is built once and
+    # cached; each evaluation checks its own remainder, so every level
+    # raises, not only the call that built it.
+    real = fusion._series_power
+
+    def off_by_a_third(a, e):
+        out = real(a, e)
+        return [out[0] + Fraction(1, 3), *out[1:]]
+
+    monkeypatch.setattr(fusion, "_series_power", off_by_a_third)
+    for n in range(2, 6):
+        wrong = Fraction(4 * n**3 - 3 * n, 18)
+        with pytest.raises(ArithmeticError, match=f"g=2, k={n - 2} is {wrong}, not an"):
+            verlinde_dim(2, n - 2)
+    info = verlinde_polynomial.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.parametrize(

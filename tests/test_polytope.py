@@ -5,12 +5,13 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 import pytest
 
 from verlinde_lab import graph, polytope
-from verlinde_lab.fusion import verlinde_dim
+from verlinde_lab.fusion import verlinde_dim, verlinde_polynomial
 from verlinde_lab.graph import dumbbell_graph, generate_genus_graphs, theta_graph
 from verlinde_lab.polytope import (
     ClebschGordanPolytope,
@@ -416,6 +417,33 @@ def test_integer_rows_scale_each_row_and_are_cached():
     assert P.integer_rows is P.integer_rows
 
 
+def _integer_rows_dense(P: ClebschGordanPolytope):
+    """Every entry of every row scaled as a Fraction: the reference form."""
+    out = []
+    for a, b in P.ineqs:
+        scale = lcm(*(f.denominator for f in (*a, b)))
+        out.append((tuple(int(f * scale) for f in a), int(b * scale)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_integer_rows_equal_the_dense_scaling_on_every_class(g):
+    for G in generate_genus_graphs(g):
+        P = build_polytope(G)
+        assert P.integer_rows == _integer_rows_dense(P)
+        Q = from_json_dict(json.loads(json.dumps(to_json_dict(P))))
+        assert Q.integer_rows == P.integer_rows
+
+
+def test_integer_rows_equal_the_dense_scaling_on_random_polytopes():
+    rng = random.Random(7)
+    for i in range(60):
+        P = _random_polytope(rng, 2 + i % 4)
+        want = _integer_rows_dense(P)
+        assert P.integer_rows == want
+        assert all(type(c) is int for a, b in P.integer_rows for c in (*a, b))
+
+
 # ---------------------------------------------------------------------------
 # Lattice counting
 # ---------------------------------------------------------------------------
@@ -754,6 +782,15 @@ def test_asymptotic_leading_coefficients_through_genus_six():
         table = asymptotic_table(G, 3)
         assert table.leading_coefficient == want == table.volume_parity_corrected
         assert table.parity_rank == rank
+
+
+def test_count_polynomial_equals_the_verlinde_polynomial():
+    cases = [*generate_genus_graphs(2), *generate_genus_graphs(3), graph._necklace_graph(8)]
+    for G in cases:
+        table = asymptotic_table(G, 3)
+        assert len(table.count_polynomial) == G.edge_count + 1
+        assert table.count_polynomial == verlinde_polynomial(G.genus).monomials()
+        assert table.leading_coefficient == table.count_polynomial[-1]
 
 
 def test_moment_volume_closed_form():
