@@ -30,7 +30,7 @@ also equal the Verlinde polynomial's.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -60,10 +60,17 @@ _LATTICE_INT_LIMIT = 2**62
 
 @dataclass(frozen=True)
 class ClebschGordanPolytope:
-    """Rational H-representation: rows (a, b) meaning a . c <= b."""
+    """Rational H-representation: rows (a, b) meaning a . c <= b.
+
+    ``sparse``, when given, holds the same rows by their nonzero entries:
+    per row, the (coordinate, coefficient) pairs and the bound.  It is not
+    compared; ``build_polytope`` passes the integer rows it builds, so that
+    ``integer_rows`` need not scan the dense rows for their nonzeros.
+    """
 
     dim: int
     ineqs: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    sparse: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for a, b in self.ineqs:
@@ -74,17 +81,20 @@ class ClebschGordanPolytope:
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The rows (a, b), each scaled by the lcm of its denominators to integers.
 
-        Only a row's nonzero entries are scaled; its zeros are written as 0
+        Only a row's nonzero entries are scaled, read from ``sparse`` or,
+        without it, found in the dense rows; its zeros are written as 0
         with no ``Fraction`` arithmetic.
         """
+        rows = self.sparse
+        if rows is None:
+            edges = range(self.dim)
+            rows = [(tuple((e, a[e]) for e in compress(edges, a)), b) for a, b in self.ineqs]
         out = []
-        edges = range(self.dim)
-        for a, b in self.ineqs:
-            support = list(compress(edges, a))
-            scale = lcm(b.denominator, *(a[e].denominator for e in support))
+        for support, b in rows:
+            scale = lcm(b.denominator, *(c.denominator for _, c in support))
             row = [0] * self.dim
-            for e in support:
-                row[e] = a[e].numerator * (scale // a[e].denominator)
+            for e, c in support:
+                row[e] = c.numerator * (scale // c.denominator)
             out.append((tuple(row), b.numerator * (scale // b.denominator)))
         return tuple(out)
 
@@ -95,16 +105,17 @@ def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
     Rows are deduplicated on their sparse integer form, the nonzero
     coefficients by edge and the bound, so the Python work per row is in
     its support; the zeros of every dense row are one shared ``Fraction``.
+    The sparse rows are kept as the polytope's ``sparse``.
     """
     d = G.edge_count
     zero = Fraction(0)
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    seen = set()
+    seen: dict[tuple, None] = {}
 
     def add(coeffs: dict[int, int], bound: int):
         key = (tuple(sorted((e, c) for e, c in coeffs.items() if c)), bound)
         if key not in seen:
-            seen.add(key)
+            seen[key] = None
             a = [zero] * d
             for e, c in key[0]:
                 a[e] = Fraction(c)
@@ -126,7 +137,7 @@ def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
         for e in triple:
             total[e] = total.get(e, 0) + 1
         add(total, 2)
-    return ClebschGordanPolytope(d, tuple(rows))
+    return ClebschGordanPolytope(d, tuple(rows), tuple(seen))
 
 
 def contains(P: ClebschGordanPolytope, point: tuple[Fraction, ...]) -> bool:

@@ -25,17 +25,20 @@ completing there form one arithmetic progression (conditions (1)-(3) solved
 for that edge), so no label is tried that fails a vertex closing there, and
 the last edge's progression is counted by its length without a loop.
 count_via_contraction gives every vertex a 0/1 numpy tensor over its edge
-labels and merges the tensors pairwise with np.einsum, in a greedy order
-that keeps the fewest edges open, planned once per graph.  Condition (1)
-is a Z/2 charge each vertex conserves, so a tensor vanishes on every parity
-pattern of its open edges with odd sum; it is stored as one dense block per
-even pattern, about half of the (k+1)^width cells, and a merge multiplies
-only blocks that agree on the shared edges.  It computes in float64, which
-is exact while every count stays below 2^53, and switches to exact Python
-ints (dtype=object) at the first merge whose result reaches 2^53.  Every
-tensor's stored cells are checked against a budget before the first is
-allocated; the default of 10^7 cells holds one tensor, at 8 bytes a cell,
-to about 80 MB.
+labels and merges the tensors pairwise, in a greedy order that keeps the
+fewest edges open, planned once per graph.  Condition (1) is a Z/2 charge
+each vertex conserves, so a tensor vanishes on every parity pattern of its
+open edges with odd sum; it is stored as one dense block per even pattern,
+about half of the (k+1)^width cells, and a merge multiplies only blocks
+that agree on the shared edges, each pair as one matrix product
+(np.matmul, on BLAS in float64).  The plan also fixes every tensor's axis
+order so that the shared edges of each merge sit together, and the blocks
+reshape into matrices as views, without copies.  It computes in float64,
+which is exact while every count stays below 2^53, and switches to exact
+Python ints (dtype=object) at the first merge whose result reaches 2^53.
+Every tensor's stored cells are checked against a budget before the first
+is allocated; the default of 10^7 cells holds one tensor, at 8 bytes a
+cell, to about 80 MB.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -100,6 +105,15 @@ class ThetaLabel(WeightAssignment):
         super().__post_init__()
         if not is_admissible(self.graph, self):
             raise ValueError("theta label must be admissible")
+
+    @classmethod
+    def _admitted(cls, graph: TrinionGraph, level: int, labels: tuple[int, ...]):
+        """A label that enumeration has proved admissible, built without re-checking it."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "graph", graph)
+        object.__setattr__(label, "level", level)
+        object.__setattr__(label, "labels", labels)
+        return label
 
 
 def vertex_conditions_hold(k: int, triple: tuple[int, int, int]) -> bool:
@@ -251,11 +265,15 @@ def _dfs_admissible(
 def enumerate_admissible(
     G: TrinionGraph, k: int, max_states: int = DEFAULT_MAX_STATES
 ) -> list[ThetaLabel]:
-    """All admissible assignments, sorted lexicographically by label tuple."""
+    """All admissible assignments, sorted lexicographically by label tuple.
+
+    The search admits only labelings that satisfy every vertex, so the
+    labels are built without ``ThetaLabel``'s checks.
+    """
     if k < 0:
         raise ValueError("level must be non-negative")
     _, found = _dfs_admissible(G, k, collect=True, max_states=max_states)
-    return [ThetaLabel(G, k, labels) for labels in found]
+    return [ThetaLabel._admitted(G, k, labels) for labels in found]
 
 
 def count_admissible_bruteforce(
@@ -280,6 +298,7 @@ def count_admissible_bruteforce(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
     """Even-parity blocks, in float64, of a vertex with ``width`` open edges.
 
@@ -293,37 +312,49 @@ def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
     once: conditions (1)-(3) read t even, t <= 2l and 2l + t <= 2k, which
     leaves k - t + 1 values of l for every even t, a single block on the
     other edge.
+
+    Every contraction at level k shares one read-only copy.  The last 16
+    (width, k) pairs stay cached: ``asymptotic_table`` revisits levels
+    0..d+1 in both widths for each class, 2d + 4 pairs, 16 at genus 3.  A
+    width-3 entry holds about (k+1)^3 / 2 float64 cells (0.5 MB at k = 50),
+    never more than the frontier budget of the call that built it; a
+    width-1 entry holds k/2 + 1.
     """
     if width == 1:
-        return {(0,): k + 1.0 - np.arange(0, k + 1, 2)}
+        blocks = {(0,): k + 1.0 - np.arange(0, k + 1, 2)}
+    else:
 
-    def band(pa: int, pb: int, pc: int) -> np.ndarray:
-        b = np.arange(pb, k + 1, 2)[:, None]
-        c = np.arange(pc, k + 1, 2)[None, :]
-        # The first label runs from |b - c| to min(b + c, 2k - b - c), both
-        # of its parity, so for each (b, c) the block holds one run of ones
-        # down its first axis.  Mark where each run starts and, on a spare
-        # last slab if need be, where it has ended; a running sum down that
-        # axis, slab by slab, fills it.
-        lo = (np.abs(b - c) - pa) // 2
-        hi = (np.minimum(b + c, 2 * k - b - c) - pa) // 2
-        n = (k - pa) // 2 + 1
-        block = np.zeros((n + 1, b.size, c.size))
-        y, z = np.arange(b.size)[:, None], np.arange(c.size)[None, :]
-        block[lo, y, z] = 1.0
-        block[hi + 1, y, z] = -1.0
-        for x in range(1, n):
-            block[x] += block[x - 1]
-        return block[:n]
+        def band(pa: int, pb: int, pc: int) -> np.ndarray:
+            b = np.arange(pb, k + 1, 2)[:, None]
+            c = np.arange(pc, k + 1, 2)[None, :]
+            # The first label runs from |b - c| to min(b + c, 2k - b - c), both
+            # of its parity, so for each (b, c) the block holds one run of ones
+            # down its first axis.  Mark where each run starts and, on a spare
+            # last slab if need be, where it has ended; a running sum down that
+            # axis, slab by slab, fills it.
+            lo = (np.abs(b - c) - pa) // 2
+            hi = (np.minimum(b + c, 2 * k - b - c) - pa) // 2
+            n = (k - pa) // 2 + 1
+            block = np.zeros((n + 1, b.size, c.size))
+            y, z = np.arange(b.size)[:, None], np.arange(c.size)[None, :]
+            block[lo, y, z] = 1.0
+            block[hi + 1, y, z] = -1.0
+            for x in range(1, n):
+                block[x] += block[x - 1]
+            return block[:n]
 
-    # Contiguous copies: einsum runs slower on transposed views.
-    odd = band(0, 1, 1)
-    return {
-        (0, 0, 0): band(0, 0, 0),
-        (0, 1, 1): odd,
-        (1, 0, 1): np.ascontiguousarray(odd.transpose(1, 0, 2)),
-        (1, 1, 0): np.ascontiguousarray(odd.transpose(2, 1, 0)),
-    }
+        # Contiguous copies, so that every grouping of their axes into a
+        # matrix is a view.
+        odd = band(0, 1, 1)
+        blocks = {
+            (0, 0, 0): band(0, 0, 0),
+            (0, 1, 1): odd,
+            (1, 0, 1): np.ascontiguousarray(odd.transpose(1, 0, 2)),
+            (1, 1, 0): np.ascontiguousarray(odd.transpose(2, 1, 0)),
+        }
+    for block in blocks.values():
+        block.setflags(write=False)
+    return blocks
 
 
 def _to_int(blocks: dict) -> dict:
@@ -333,23 +364,172 @@ def _to_int(blocks: dict) -> dict:
 
 @dataclass(frozen=True)
 class _Merge:
-    """One pairwise merge of a contraction plan.
+    """One pairwise merge of a contraction plan, one matrix product per block pair.
 
-    It consumes the tensors in slots ``a`` and ``b`` and fills the next
-    free slot with a tensor whose open edges are ``out``.  ``pairs`` lists,
-    per pair of blocks that agree on the shared edges, the patterns of a's
-    block, b's block and the merged block it adds into; one ``np.einsum``
-    call in sublist form runs per pair.
+    It consumes the tensors in slots ``a`` and ``b``, whose blocks' axes
+    are the open edges ``edges_a`` and ``edges_b`` in that order, and fills
+    the next free slot with a tensor whose axes are the open edges ``out``;
+    ``union`` counts the edges of a and b together, and ``inner`` the edges
+    summed inside the result, loops included.  Each block of a
+    is viewed once per merge as ``view_a`` = (pre, cuts, perm) says: its
+    axes permuted by ``pre`` (None when kept, so that nothing is copied),
+    grouped at ``cuts`` into the dimensions of a matrix or a stack of them,
+    and those permuted by ``perm`` (None when kept); likewise b's blocks by
+    ``view_b``.  ``pairs`` lists, per pair of blocks that agree on the
+    shared edges, the patterns of a's block, b's block and the merged block
+    that their product adds into; ``odd`` counts, per pair, the union's
+    edges of odd parity.
     """
 
     a: int
     b: int
     width: int
-    subs_a: tuple[int, ...]
-    subs_b: tuple[int, ...]
-    subs_out: tuple[int, ...]
+    union: int
+    inner: int
+    edges_a: tuple[int, ...]
+    edges_b: tuple[int, ...]
     out: tuple[int, ...]
+    view_a: tuple
+    view_b: tuple
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    odd: tuple[int, ...]
+
+
+def _split(order: tuple[int, ...], shared) -> tuple | None:
+    """(before, run, after) when ``shared`` is one contiguous run of ``order``, else None."""
+    at = [i for i, e in enumerate(order) if e in shared]
+    if at[-1] - at[0] + 1 != len(at):
+        return None
+    return order[: at[0]], order[at[0] : at[-1] + 1], order[at[-1] + 1 :]
+
+
+def _matrix(slot: int, order: tuple[int, ...], split: tuple, rows: bool) -> tuple:
+    """A view of an operand whose shared run sits at an end, as a matrix.
+
+    The matrix is (free, shared) if ``rows``, else (shared, free); when the
+    run sits at the other end, it is the transpose of a view, which BLAS
+    takes as it is.  Returns (slot, order, cuts, perm).
+    """
+    before, run, after = split
+    run_last = not after if rows else bool(before)
+    cut = len(before) if run_last else len(run)
+    return slot, order, (0, cut, len(order)), None if run_last == rows else (1, 0)
+
+
+def _products(x: tuple, sx: tuple, y: tuple, sy: tuple) -> list[tuple]:
+    """The matrix products that contract x with y without moving their axes.
+
+    x and y are (slot, axis order), and sx and sy their ``_split`` on the
+    shared edges: one run, in the same order in both, and at an end of y.
+    Each product is (left, right, out, stacked): left and right are views
+    as ``_matrix`` returns them, out is the axis order of the result and
+    stacked tells whether x is a stack of matrices.  With x's run at an
+    end too, x is viewed as (free, shared) and y as (shared, free), and the
+    result's axes are x's free edges, then y's.  With x's run inside, A
+    before it and B after, x is a stack over A of matrices (B, shared),
+    times y as (shared, free), which gives A, B, y's free edges; or y as
+    (free, shared) times the stack over A of (shared, B), which gives A,
+    y's free edges, B.
+    """
+    (ax, run, bx), (ay, _, by) = sx, sy
+    if not (ax and bx):
+        return [(_matrix(*x, sx, True), _matrix(*y, sy, False), ax + bx + ay + by, False)]
+    cuts = (0, len(ax), len(ax) + len(run), len(x[1]))
+    return [
+        ((*x, cuts, (0, 2, 1)), _matrix(*y, sy, False), ax + bx + ay + by, True),
+        (_matrix(*y, sy, True), (*x, cuts, None), ax + ay + by + bx, True),
+    ]
+
+
+def _greedy_steps(edges: list[tuple[int, ...]]) -> tuple[list, list[set[int]]]:
+    """The merges, as pairs of slots, and the open edges of every slot.
+
+    Vertex v's tensor fills slot v and merge m fills slot V + m.  Each step
+    merges the pair whose result leaves the fewest open edges, ties broken
+    by position in the list of live tensors, a merge's result appended last.
+    """
+    sets = [set(e) for e in edges]
+    live = list(range(len(edges)))
+    steps = []
+    while len(live) > 1:
+        best = None
+        for i in range(len(live)):
+            for j in range(i + 1, len(live)):
+                edges_i, edges_j = sets[live[i]], sets[live[j]]
+                if not edges_i & edges_j:
+                    continue
+                cand = (len(edges_i ^ edges_j), i, j)
+                if best is None or cand < best:
+                    best = cand
+        assert best is not None, "connected graph always leaves a sharing pair"
+        _, i, j = best
+        a, b = live[i], live[j]
+        steps.append((a, b))
+        live = [s for s in live if s not in (a, b)] + [len(sets)]
+        sets.append(sets[a] ^ sets[b])
+    return steps, sets
+
+
+def _axis_orders(edges: list[tuple[int, ...]], sets: list[set[int]], steps: list):
+    """The axis order of every slot, and per merged slot its (left, right) views.
+
+    A vertex's blocks are symmetric, so it takes any order; a merged tensor
+    takes the order of the product that built it.  Per slot, bottom up,
+    every order it can be built in is kept with the least (copies, stacked
+    products) of the merges below it, and with the product that gets there
+    and the orders that product asks of its operands.  An operand is copied
+    into an order with the shared run at an end only where no product fits
+    without; it then leaves from its cheapest order.  The cheapest order of
+    the last tensor, read back down, fixes every other.
+    """
+    V = len(edges)
+    reach: list[dict] = [{o: ((0, 0), None, {}) for o in permutations(e)} for e in edges]
+    for a, b in steps:
+        shared = sets[a] & sets[b]
+        # Per operand, (order built, order used, cost, split): a copy where
+        # the two orders differ.
+        found = {
+            t: [(o, o, c[0], s) for o, c in reach[t].items() if (s := _split(o, shared))]
+            for t in (a, b)
+        }
+
+        def combine() -> dict:
+            options: dict = {}
+            for x, y in ((a, b), (b, a)):
+                # y's orders with the shared run at an end, by that run.
+                ends: dict[tuple, list] = {}
+                for c in found[y]:
+                    if not (c[3][0] and c[3][2]):
+                        ends.setdefault(c[3][1], []).append(c)
+                for x_src, xo, x_cost, sx in found[x]:
+                    for y_src, yo, y_cost, sy in ends.get(sx[1], ()):
+                        for left, right, out, stacked in _products((x, xo), sx, (y, yo), sy):
+                            cost = (x_cost[0] + y_cost[0], x_cost[1] + y_cost[1] + stacked)
+                            if out not in options or cost < options[out][0]:
+                                options[out] = (cost, (left, right), {x: x_src, y: y_src})
+            return options
+
+        options = combine()
+        if not options:
+            runs = {tuple(sorted(shared))} | {c[3][1] for t in (a, b) for c in found[t]}
+            for t in (a, b):
+                if t >= V:
+                    src = min(reach[t], key=lambda o: reach[t][o][0])
+                    copies, stacked = reach[t][src][0]
+                    free = tuple(e for e in src if e not in shared)
+                    for run in sorted(runs):
+                        for o in (free + run, run + free):
+                            found[t].append((src, o, (copies + 1, stacked), _split(o, shared)))
+            options = combine()
+        reach.append(options)
+
+    root = len(reach) - 1
+    order = {root: min(reach[root], key=lambda o: reach[root][o][0])}
+    views = {}
+    for r in reversed(range(V, len(reach))):
+        _, views[r], operands = reach[r][order[r]]
+        order.update(operands)
+    return order, views
 
 
 @lru_cache(maxsize=4096)
@@ -358,85 +538,99 @@ def _contraction_plan(
 ) -> tuple[tuple[int, ...], tuple[_Merge, ...]]:
     """The open-edge count of each vertex tensor, and the merges in order.
 
-    Vertex v's tensor fills slot v and merge m fills slot V + m.  Merges
-    follow a greedy order: the pair whose merge leaves the fewest open
-    edges, ties broken by position in the list of live tensors, a merge's
-    result appended last.  Every edge carries k + 1 labels and the parity
-    patterns of a tensor's blocks do not depend on k either, so the plan,
-    read off the blocks at k = 0, serves every level.  Subscripts are
-    numbered per merge, since einsum accepts at most 52 of them.
+    Merges follow ``_greedy_steps`` and axis orders ``_axis_orders``.
+    Every edge carries k + 1 labels and the parity patterns of a tensor's
+    blocks do not depend on k either, so the plan, read off the blocks at
+    k = 0, serves every level.
     """
     G = TrinionGraph(pairing)
     edges: list[tuple[int, ...]] = []
-    patterns: list[list[tuple[int, ...]]] = []
     for triple in G.vertex_edge_triples():
         # A loop's label is summed inside its vertex blocks, so only edges
         # that appear once in the triple stay open.
-        open_edges = tuple(e for e in sorted(set(triple)) if triple.count(e) == 1)
-        edges.append(open_edges)
-        patterns.append(list(_vertex_blocks(len(open_edges), 0)))
+        edges.append(tuple(e for e in sorted(set(triple)) if triple.count(e) == 1))
     widths = tuple(len(e) for e in edges)
-    live = list(range(len(edges)))
+    V = len(edges)
+    steps, sets = _greedy_steps(edges)
+    order, views = _axis_orders(edges, sets, steps)
+
+    inner = [(3 - w) // 2 for w in widths]
+    patterns = [list(_vertex_blocks(w, 0)) for w in widths]
     merges = []
-    while len(live) > 1:
-        best = None
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                edges_i, edges_j = set(edges[live[i]]), set(edges[live[j]])
-                if not edges_i & edges_j:
-                    continue
-                cand = (len(edges_i ^ edges_j), i, j)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None, "connected graph always leaves a sharing pair"
-        width, i, j = best
-        a, b = live[i], live[j]
-        edges_a, edges_b = edges[a], edges[b]
-        sub = {e: n for n, e in enumerate(dict.fromkeys(edges_a + edges_b))}
-        out = tuple(e for e in edges_a + edges_b if (e in edges_a) != (e in edges_b))
-        shared_a = [i for i, e in enumerate(edges_a) if e in edges_b]
+    for r, (a, b) in enumerate(steps, start=V):
+        shared = sets[a] & sets[b]
+        out = order[r]
+        specs = []
+        for t, o, cuts, perm in views[r]:
+            pre = None if o == order[t] else tuple(order[t].index(e) for e in o)
+            specs.append((pre, cuts, perm))
+        ta, tb = views[r][0][0], views[r][1][0]
+        edges_a, edges_b = order[ta], order[tb]
+        shared_a = [i for i, e in enumerate(edges_a) if e in shared]
         shared_b = [edges_b.index(edges_a[i]) for i in shared_a]
         # Where each open edge's parity is read: (0, axis) in a, (1, axis) in b.
         out_from = [
             (0, edges_a.index(e)) if e in edges_a else (1, edges_b.index(e)) for e in out
         ]
         b_by_shared: dict[tuple, list] = {}
-        for pb in patterns[b]:
+        for pb in patterns[tb]:
             b_by_shared.setdefault(tuple(pb[i] for i in shared_b), []).append(pb)
         pairs = [
             (pa, pb, tuple((pa, pb)[side][i] for side, i in out_from))
-            for pa in patterns[a]
+            for pa in patterns[ta]
             for pb in b_by_shared.get(tuple(pa[i] for i in shared_a), ())
         ]
+        inner.append(inner[a] + inner[b] + len(shared))
         merges.append(
             _Merge(
-                a,
-                b,
-                width,
-                tuple(sub[e] for e in edges_a),
-                tuple(sub[e] for e in edges_b),
-                tuple(sub[e] for e in out),
+                ta,
+                tb,
+                len(out),
+                len(edges_a) + len(edges_b) - len(shared),
+                inner[r],
+                edges_a,
+                edges_b,
                 out,
+                *specs,
                 tuple(pairs),
+                tuple(sum(pa) + sum(pb) - sum(pb[i] for i in shared_b) for pa, pb, _ in pairs),
             )
         )
-        live = [s for s in live if s not in (a, b)] + [len(edges)]
-        edges.append(out)
         patterns.append(list(dict.fromkeys(p for _, _, p in pairs)))
     return widths, tuple(merges)
 
 
-def _merge(m: _Merge, a: dict, b: dict):
+def _view(block: np.ndarray, view: tuple) -> np.ndarray:
+    """``block`` as the matrix, or stack of matrices, that ``view`` describes."""
+    pre, cuts, perm = view
+    if pre is not None:
+        block = block.transpose(pre)
+    shape = block.shape
+    # A copy only where ``pre`` moved an axis; otherwise a view.
+    block = block.reshape([prod(shape[i:j]) for i, j in zip(cuts, cuts[1:])])
+    return block if perm is None else block.transpose(perm)
+
+
+def _merge(m: _Merge, a: dict, b: dict, sizes: tuple[int, int]):
     """Sum a * b over their shared edges; returns (open edges, blocks).
 
-    One einsum runs per block pair of ``m.pairs``, and its default
-    ``optimize=False`` keeps it off BLAS.
+    Each block of a and of b is viewed once as a matrix, or a stack of
+    them, and one ``np.matmul`` runs per block pair of ``m.pairs``, summed
+    in place into its merged block.  float64 products run on BLAS and
+    object ones in numpy's own loop.  ``sizes`` holds the even and the odd
+    label counts, the length of a block's axis by its parity, from which
+    each product is reshaped into its block.
     """
+    va = {p: _view(block, m.view_a) for p, block in a.items()}
+    vb = {p: _view(block, m.view_b) for p, block in b.items()}
     merged: dict[tuple[int, ...], np.ndarray] = {}
     for pa, pb, pattern in m.pairs:
-        term = np.einsum(a[pa], m.subs_a, b[pb], m.subs_b, m.subs_out)
-        merged[pattern] = merged[pattern] + term if pattern in merged else term
-    return m.out, merged
+        term = va[pa] @ vb[pb]
+        if pattern in merged:
+            merged[pattern] += term
+        else:
+            merged[pattern] = term
+    return m.out, {p: t.reshape([sizes[i] for i in p]) for p, t in merged.items()}
 
 
 def count_via_contraction(
@@ -458,33 +652,46 @@ def count_via_contraction(
 
     Tensors are merged pairwise in the order of ``_contraction_plan``,
     built once per graph: the pair whose merge leaves the fewest open
-    edges, ties broken by list position.  A merge runs one ``np.einsum``
-    per pair of blocks that agree on the shared edges.  Before any tensor
-    is built, the stored cells of every tensor the plan builds are checked
-    against ``max_frontier``; the default budget of 10^7 cells bounds one
-    tensor at about 80 MB.  Agrees with count_admissible_bruteforce by
-    construction of the vertex blocks.
+    edges, ties broken by list position.  A merge runs one ``np.matmul``
+    per pair of blocks that agree on the shared edges; the plan orders
+    every tensor's axes so that its blocks reshape into those matrices as
+    views.  The vertex blocks of level k are built once and shared by every
+    graph (``_vertex_blocks``).  Before any tensor is built, the stored
+    cells of every tensor the plan builds are checked against
+    ``max_frontier``; the default budget of 10^7 cells bounds one tensor at
+    about 80 MB.  Agrees with count_admissible_bruteforce by construction
+    of the vertex blocks.
 
     Merges run in float64 until the first merge whose largest entry, over
     all its blocks, reaches 2^53.  That merge is redone, and every later one
     done, in exact Python ints (``dtype=object``); earlier results are kept.
-    This is exact: every entry, and every product and partial sum einsum and
-    the block sums form on the way to it, in whatever order, is a
-    non-negative count of labelings, and float64 rounding is monotone.  A
-    true partial sum of 2^53 or more therefore rounds to 2^53 or more, the
-    terms added after it are non-negative, and the entry computes to 2^53 or
-    more and trips the switch.  If instead every computed entry is below
-    2^53, so is every true entry and every true partial sum below it:
-    integers that float64 holds exactly, so nothing was rounded.
+    A merge skips the test where no entry can reach 2^53: an entry counts
+    labelings of the edges summed inside the result, so it is at most
+    (k+1)^inner.  The switch is exact.  BLAS dgemm forms each entry from
+    products of operand entries, summed in an order set by its blocking,
+    vector width and threads, but with no subtraction (OpenBLAS has no
+    Strassen-like path); the products of one merged pattern are then added
+    in place.  Every value formed on the way is thus a non-negative count
+    of labelings, each product, sum or fused multiply-add rounds once, and
+    float64 rounding is monotone.  While every value formed so far is below
+    2^53 it is an integer float64 holds, so it is exact.  The first whose
+    true value reaches 2^53 is formed from exact inputs and rounds to 2^53
+    or more, every value it feeds adds only non-negative terms, and the
+    entry computes to 2^53 or more and trips the switch.  If instead every
+    computed entry is below 2^53, nothing was rounded, whatever the
+    blocking or thread split.
 
     A ``stats`` dict, if given, receives ``peak_cells``, the stored cells of
-    the largest tensor built, and ``int_from_merge``, the 0-based index of
-    the first merge done in Python ints, or None if all ran in float64.
+    the largest tensor built; ``int_from_merge``, the 0-based index of the
+    first merge done in Python ints, or None if all ran in float64;
+    ``plan_cost``, the multiply-adds of all merges at level k, the sum of
+    M*K*N over their block pairs; and ``peak_union``, the most edges any
+    merge spans.  All four follow from the plan and k alone.
     """
     if k < 0:
         raise ValueError("level must be non-negative")
     widths, merges = _contraction_plan(G.pairing)
-    n0, n1 = k // 2 + 1, (k + 1) // 2
+    n0, n1 = sizes = k // 2 + 1, (k + 1) // 2
     peak = 0
     for width in (*widths, *(m.width for m in merges)):
         need = ((n0 + n1) ** width + (n0 - n1) ** width) // 2
@@ -496,27 +703,33 @@ def count_via_contraction(
             )
         peak = max(peak, need)
 
-    # Vertex blocks depend on the width alone, and merges never write to
-    # their operands, so vertices of one width share a single dict.
-    built = {w: _vertex_blocks(w, k) for w in sorted(set(widths))}
-    # The live tensors by slot; a merge frees its operands' slots.
-    slots = {v: built[w] for v, w in enumerate(widths)}
+    # The live tensors by slot; a merge frees its operands' slots.  Vertex
+    # blocks depend on the width and k alone and are read-only, so vertices
+    # of one width share one cached dict.
+    slots = {v: _vertex_blocks(w, k) for v, w in enumerate(widths)}
     int_from = None
     for step, m in enumerate(merges):
         a, b = slots.pop(m.a), slots.pop(m.b)
-        edges, merged = _merge(m, a, b)
-        # The odd blocks are empty at k = 0, hence initial=0.
-        if int_from is None and max(
-            np.max(block, initial=0) for block in merged.values()
-        ) >= _FLOAT_EXACT_LIMIT:
+        edges, merged = _merge(m, a, b, sizes)
+        # An entry counts labelings of the m.inner edges summed inside it, so
+        # it is at most (k+1)^inner; the odd blocks are empty at k = 0,
+        # hence initial=0.
+        if (
+            int_from is None
+            and (k + 1) ** m.inner >= _FLOAT_EXACT_LIMIT
+            and max(np.max(block, initial=0) for block in merged.values())
+            >= _FLOAT_EXACT_LIMIT
+        ):
             int_from = step
             slots = {s: _to_int(t) for s, t in slots.items()}
-            edges, merged = _merge(m, _to_int(a), _to_int(b))
+            edges, merged = _merge(m, _to_int(a), _to_int(b), sizes)
         slots[len(widths) + step] = merged
 
     if stats is not None:
         stats["peak_cells"] = peak
         stats["int_from_merge"] = int_from
+        stats["plan_cost"] = sum(n0 ** (m.union - o) * n1**o for m in merges for o in m.odd)
+        stats["peak_union"] = max(m.union for m in merges)
     (final,) = slots.values()
     assert edges == ()
     return int(final[()])

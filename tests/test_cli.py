@@ -133,11 +133,25 @@ def test_count_reports_contraction_counters(capsys):
     _, report, _ = run_json(capsys, "count", "--genus", "2", "--level", "3")
     rows = {row["graph"]: row for row in report["outputs"]["per_graph"]}
     # peak_cells counts the even-parity blocks: at k = 3, two even and two
-    # odd labels, so (4^w + 0^w)/2 cells for w open edges.
+    # odd labels, so (4^w + 0^w)/2 cells for w open edges.  Theta's one
+    # merge spans its three edges and multiplies each stored cell once; the
+    # dumbbell's spans the bridge, with its two even labels.
     assert rows["theta"] == {
-        "graph": "theta", "count": 20, "peak_cells": 4**3 // 2, "int_from_merge": None
+        "graph": "theta",
+        "count": 20,
+        "peak_cells": 4**3 // 2,
+        "int_from_merge": None,
+        "plan_cost": 4**3 // 2,
+        "peak_union": 3,
     }
-    assert rows["dumbbell"]["peak_cells"] == 2 and rows["dumbbell"]["int_from_merge"] is None
+    assert rows["dumbbell"] == {
+        "graph": "dumbbell",
+        "count": 20,
+        "peak_cells": 2,
+        "int_from_merge": None,
+        "plan_cost": 2,
+        "peak_union": 1,
+    }
     # The counters are deterministic, so two reports diff clean.
     _, again, _ = run_json(capsys, "count", "--genus", "2", "--level", "3")
     assert again["outputs"] == report["outputs"]

@@ -433,6 +433,10 @@ def test_integer_rows_equal_the_dense_scaling_on_every_class(g):
         assert P.integer_rows == _integer_rows_dense(P)
         Q = from_json_dict(json.loads(json.dumps(to_json_dict(P))))
         assert Q.integer_rows == P.integer_rows
+        # P's rows come from its sparse form, Q's from a scan of the dense
+        # rows; the sparse form is not compared.
+        assert P.sparse is not None and Q.sparse is None
+        assert Q == P and hash(Q) == hash(P)
 
 
 def test_integer_rows_equal_the_dense_scaling_on_random_polytopes():

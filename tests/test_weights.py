@@ -10,6 +10,7 @@ import pytest
 from verlinde_lab import weights
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
+    TrinionGraph,
     _necklace_graph,
     can_recurse,
     connected_edge_order,
@@ -104,6 +105,16 @@ def test_enumerate_level_zero():
         labels = enumerate_admissible(G, 0)
         assert len(labels) == 1
         assert labels[0].labels == (0,) * G.edge_count
+
+
+def test_enumerated_labels_equal_checked_labels():
+    # Enumeration builds its labels without ThetaLabel's checks; they equal
+    # the checked construction, type included.
+    for G in (THETA, DUMBBELL, *generate_genus_graphs(3)):
+        for k in (0, 1, 4):
+            out = enumerate_admissible(G, k)
+            assert out == [ThetaLabel(G, k, w.labels) for w in out]
+            assert all(type(w) is ThetaLabel and type(w.labels) is tuple for w in out)
 
 
 def test_enumerate_sorted_and_admissible():
@@ -359,7 +370,7 @@ def test_contraction_plan_is_built_once_per_pairing():
 
 def test_contraction_budget_fails_before_any_merge(monkeypatch):
     # The plan knows every tensor's width, so a budget that only the third
-    # merge, of width 4, exceeds raises before the first einsum.
+    # merge, of width 4, exceeds raises before the first merge runs.
     merges = []
     monkeypatch.setattr(weights, "_merge", lambda *args: merges.append(args))
     G = generate_genus_graphs(4)[3]
@@ -442,14 +453,149 @@ def test_contraction_genus_five_level_forty_stays_float():
 def test_contraction_stats():
     stats: dict = {}
     count_via_contraction(THETA, 50, stats=stats)
-    # Even-parity blocks store ((k+1)^w + 1)/2 cells at even k.
-    assert stats == {"peak_cells": (51**3 + 1) // 2, "int_from_merge": None}
+    # Even-parity blocks store ((k+1)^w + 1)/2 cells at even k; theta's one
+    # merge spans its three edges and multiplies each stored cell once.
+    assert stats == {
+        "peak_cells": (51**3 + 1) // 2,
+        "int_from_merge": None,
+        "plan_cost": (51**3 + 1) // 2,
+        "peak_union": 3,
+    }
     runs = []
     for _ in range(2):
         stats = {}
         count_via_contraction(_necklace_graph(12), 20, stats=stats)
         runs.append(stats)
-    assert runs[0] == runs[1] == {"peak_cells": (21**3 + 1) // 2, "int_from_merge": 10}
+    assert runs[0] == runs[1] == {
+        "peak_cells": (21**3 + 1) // 2,
+        "int_from_merge": 10,
+        "plan_cost": 301991,
+        "peak_union": 4,
+    }
+
+
+def _even_even_labelings(edges_a, edges_b, k):
+    """Labelings in [0, k] of the edges of a and b together whose sum over
+    a's edges and whose sum over b's edges are both even."""
+    union = sorted(set(edges_a) | set(edges_b))
+    labels = np.indices((k + 1,) * len(union)).reshape(len(union), -1)
+    axis = {e: i for i, e in enumerate(union)}
+    sum_a = sum(labels[axis[e]] for e in edges_a)
+    sum_b = sum(labels[axis[e]] for e in edges_b)
+    return int(np.count_nonzero((sum_a % 2 == 0) & (sum_b % 2 == 0)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_plan_cost_counts_the_labelings_each_merge_admits(k):
+    # A block pair multiplies M*K*N cells, one per labeling of the merge's
+    # edges with the pair's parities, so a merge costs the labelings whose
+    # parity both operands admit: an even sum over each one's edges.
+    for G in (DUMBBELL, *generate_genus_graphs(3), *generate_genus_graphs(4)):
+        stats: dict = {}
+        count_via_contraction(G, k, stats=stats)
+        _, merges = weights._contraction_plan(G.pairing)
+        want = sum(_even_even_labelings(m.edges_a, m.edges_b, k) for m in merges)
+        assert stats["plan_cost"] == want
+        assert stats["peak_union"] == max(len(set(m.edges_a) | set(m.edges_b)) for m in merges)
+
+
+def test_genus_four_classes_at_level_24():
+    classes = generate_genus_graphs(4)
+    assert len(classes) == 17
+    for G in classes:
+        assert count_via_contraction(G, 24) == verlinde_dim(4, 24)
+    # Class 2 has the widest merge, over six edges.
+    stats: dict = {}
+    count_via_contraction(classes[2], 24, stats=stats)
+    assert stats["peak_union"] == 6
+
+
+# Genus 5: the one class of 71 whose plan copies an operand.
+_COPYING = TrinionGraph(
+    (15, 18, 21, 12, 19, 22, 9, 16, 23, 6, 13, 20, 3, 10, 17, 0, 7, 14, 1, 4, 11, 2, 5, 8)
+)
+
+
+def _even_patterns(width):
+    return [p for p in product((0, 1), repeat=width) if sum(p) % 2 == 0]
+
+
+def _dense(blocks, width, k, dtype):
+    dense = np.zeros((k + 1,) * width, dtype=dtype)
+    for pattern, block in blocks.items():
+        dense[tuple(slice(p, None, 2) for p in pattern)] = block
+    return dense
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_merge_equals_a_dense_einsum_reference(k, dtype):
+    # Random integer blocks on every merge of plans with stacked products,
+    # transposed views and a copied operand; at k = 0 the odd blocks are
+    # empty.  Object entries reach 2^70, past float64.
+    rng = np.random.default_rng(k)
+    sizes = (k // 2 + 1, (k + 1) // 2)
+    top = 2**70 if dtype is object else 2**12
+
+    def random_blocks(width):
+        blocks = {}
+        for pattern in _even_patterns(width):
+            shape = [sizes[p] for p in pattern]
+            cells = [int(x) for x in rng.integers(0, 2**12, size=prod(shape))]
+            block = np.array([x * top // 2**12 for x in cells], dtype=dtype)
+            blocks[pattern] = block.reshape(shape)
+        return blocks
+
+    graphs = (DUMBBELL, generate_genus_graphs(3)[1], generate_genus_graphs(4)[2], _COPYING)
+    seen = set()
+    for G in graphs:
+        for m in weights._contraction_plan(G.pairing)[1]:
+            seen.add((m.view_a[0] is not None, len(m.view_a[1]), len(m.view_b[1])))
+            a = random_blocks(len(m.edges_a))
+            b = random_blocks(len(m.edges_b))
+            edges, merged = weights._merge(m, a, b, sizes)
+            assert edges == m.out
+            want = np.einsum(
+                _dense(a, len(m.edges_a), k, dtype),
+                list(m.edges_a),
+                _dense(b, len(m.edges_b), k, dtype),
+                list(m.edges_b),
+                list(m.out),
+            )
+            assert sorted(merged) == _even_patterns(len(m.out))
+            assert np.array_equal(_dense(merged, len(m.out), k, dtype), want)
+            assert all(block.dtype == dtype for block in merged.values())
+    # Both kinds of product ran, a stacked one on either side, and a copy.
+    assert {(False, 3, 3), (False, 4, 3), (False, 3, 4), (True, 3, 4)} <= seen
+
+
+def test_vertex_blocks_are_read_only_and_shared_within_a_level():
+    classes = generate_genus_graphs(4)
+    for G in classes:
+        count_via_contraction(G, 1)  # plans first, built from the blocks at k = 0
+    weights._vertex_blocks.cache_clear()
+    for G in classes:
+        assert count_via_contraction(G, 7) == verlinde_dim(4, 7)
+    info = weights._vertex_blocks.cache_info()
+    # One build per width, 1 and 3; every other vertex a hit.
+    assert (info.misses, info.hits) == (2, len(classes) * 6 - 2)
+    for width in (1, 3):
+        blocks = weights._vertex_blocks(width, 7)
+        for block in blocks.values():
+            with pytest.raises(ValueError, match="read-only"):
+                block[(0,) * width] = 5.0
+    assert weights._vertex_blocks(3, 7) is weights._vertex_blocks(3, 7)
+
+
+def test_plans_copy_no_operand_through_genus_four():
+    # The plan fixes axis orders so that every block reshapes into its
+    # matrix as a view, on every graph through genus 4 and on necklaces.
+    graphs = [G for g in (2, 3, 4) for G in generate_genus_graphs(g)]
+    graphs += [_necklace_graph(n) for n in (8, 14, 40)]
+    for G in graphs:
+        _, merges = weights._contraction_plan(G.pairing)
+        assert all(m.view_a[0] is None and m.view_b[0] is None for m in merges), G.pairing
+    assert count_via_contraction(_COPYING, 6) == verlinde_dim(5, 6)
 
 
 def test_contraction_theta_level_fifty_matches_verlinde():
