@@ -1,4 +1,4 @@
-"""The su(2) fusion ring at level k, its characters, and the Verlinde formula.
+"""The su(2) fusion ring at level k, its Chebyshev image, and the Verlinde formula.
 
 Representations are labelled by twice the spin throughout the package: the
 irreducible of spin i (dimension 2i+1) is the integer label m = 2i, so basis
@@ -6,14 +6,14 @@ labels at level k are m = 0, 1, ..., k and no half-integers appear anywhere.
 The level-k ring is the quotient of the su(2) representation ring by the
 ideal generated by the label m = k+1 (dimension k+2); its structure constants
 are the truncated Clebsch-Gordan rule implemented here and enforced, not
-assumed, by the character-homomorphism oracle.
+assumed, by the exact map into Z[x]/(U_(k+1)) (``chebyshev_image``), under
+which ``fusion_product`` must become the polynomial product.
 
-``verlinde_dim`` is exact.  Through the residue theorem the trigonometric
-Verlinde sum is a polynomial in k+2 with rational coefficients, built once
-per genus as integers over one denominator (``verlinde_polynomial``) and
-then evaluated at each level in integer arithmetic, with no floating point.
-Only the characters, the numeric oracle for ``fusion_product``, are
-evaluated in mpmath at PRECISION_BITS of mantissa.
+Everything here is exact integer or rational arithmetic.  Through the
+residue theorem the trigonometric Verlinde sum is a polynomial in k+2 with
+rational coefficients, built once per genus from Bernoulli numbers as
+integers over one denominator (``verlinde_polynomial``) and then evaluated
+at each level in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-
-import mpmath as mp
-
-# Mantissa bits of the character values, the oracle that the fusion_product
-# tests compare against; their residuals are held below 1e-9 up to level 8.
-# verlinde_dim is exact and does not use it.
-PRECISION_BITS = 200
+from math import comb, factorial, lcm
 
 
 def clebsch_gordan(m1: int, m2: int) -> list[int]:
@@ -100,73 +93,73 @@ def fusion_product(a: FusionElement, b: FusionElement) -> FusionElement:
     return FusionElement(k, out)
 
 
-@dataclass(frozen=True)
-class CharacterPoint:
-    """Evaluation point z = n*pi/(k+2) of the level-k character family, 1 <= n <= k+1.
+def _chebyshev(n: int) -> list[list[int]]:
+    """U_0, ..., U_n in Z[x], each as its coefficients of x^0, x^1, ...
 
-    The pair (n, level) is the exact datum; ``value`` is its numeric
-    realization at the module working precision.
+    U_0 = 1, U_1 = x and U_(m+1) = x U_m - U_(m-1); U_m is monic of degree m.
     """
-
-    n: int
-    level: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
-        if not 1 <= self.n <= self.level + 1:
-            raise ValueError(
-                f"character index n={self.n} outside [1, {self.level + 1}] at level {self.level}"
-            )
-
-    @property
-    def value(self) -> mp.mpf:
-        with mp.workprec(PRECISION_BITS):
-            return mp.pi * self.n / (self.level + 2)
+    u = [[1], [0, 1]]
+    while len(u) <= n:
+        u.append([0, *u[-1]])
+        for i, c in enumerate(u[-3]):
+            u[-1][i] -= c
+    return u[: n + 1]
 
 
-def character_points(k: int) -> list[CharacterPoint]:
-    """The k+1 character evaluation points of the level-k ring."""
-    return [CharacterPoint(n, k) for n in range(1, k + 2)]
+def chebyshev_image(a: FusionElement) -> list[int]:
+    """Image of ``a`` in Z[x]/(U_(k+1)) under V_m -> U_m: coefficients of x^0..x^k.
 
-
-def character(z: CharacterPoint, m: int) -> mp.mpf:
-    """Character value sin((m+1) z)/sin(z) of the label m at the point z.
-
-    Defined for any m >= 0, including labels outside the level-k basis;
-    in particular m = k+1 (the ideal generator) evaluates to zero at every
-    level-k point.
+    The images of V_0..V_k are triangular (U_m is monic of degree m), so the
+    map is injective and ``a`` is recovered from its image.
     """
-    if m < 0:
-        raise ValueError("spin label must be non-negative")
-    with mp.workprec(PRECISION_BITS):
-        zv = mp.pi * z.n / (z.level + 2)
-        return mp.sin((m + 1) * zv) / mp.sin(zv)
+    u = _chebyshev(a.level)
+    out = [0] * (a.level + 1)
+    for m, c in a.coeffs.items():
+        for i, x in enumerate(u[m]):
+            out[i] += c * x
+    return out
 
 
-def character_of_element(z: CharacterPoint, a: FusionElement) -> mp.mpf:
-    """Linear extension of ``character`` to ring elements."""
-    with mp.workprec(PRECISION_BITS):
-        total = mp.mpf(0)
-        for m, c in a.coeffs.items():
-            total += c * character(z, m)
-        return total
+def _reduce(k: int, poly: list[int]) -> list[int]:
+    """``poly`` mod the monic U_(k+1): its remainder's coefficients of x^0..x^k."""
+    out = list(poly) + [0] * (k + 1 - len(poly))
+    modulus = _chebyshev(k + 1)[-1]
+    for d in range(len(out) - 1, k, -1):
+        top = out[d]
+        for i, c in enumerate(modulus):
+            out[d - k - 1 + i] -= top * c
+    return out[: k + 1]
 
 
-def character_homomorphism_check(k: int, z: CharacterPoint, m1: int, m2: int) -> float:
-    """Residual |chi_z(m1) chi_z(m2) - sum_p N_{m1,m2}^p chi_z(p)|.
+def chebyshev_product(a: FusionElement, b: FusionElement) -> list[int]:
+    """Product of the images of a and b in Z[x]/(U_(k+1)), reduced mod U_(k+1).
 
-    A vanishing residual at every level-k character point certifies that the
-    truncated fusion rule realizes the quotient-ring product; this is the
-    oracle for ``fusion_product``.
+    The level-k ring is Z[x]/(U_(k+1)) with V_m -> U_m (Gepner 1991, "Fusion
+    rings and geometry").  The k+1 simple roots 2cos(n pi/(k+2)) of U_(k+1)
+    are the character points, so this one integer identity says what the
+    characters say: ``fusion_product`` is certified when
+    ``chebyshev_image(fusion_product(a, b)) == chebyshev_product(a, b)``.
     """
-    if z.level != k:
-        raise ValueError(f"character point has level {z.level}, expected {k}")
-    with mp.workprec(PRECISION_BITS):
-        lhs = character(z, m1) * character(z, m2)
-        prod = fusion_product(basis_element(k, m1), basis_element(k, m2))
-        rhs = character_of_element(z, prod)
-        return float(abs(lhs - rhs))
+    if a.level != b.level:
+        raise ValueError(f"level mismatch: {a.level} != {b.level}")
+    p, q = chebyshev_image(a), chebyshev_image(b)
+    out = [0] * (2 * a.level + 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return _reduce(a.level, out)
+
+
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0, ..., B_n (B_1 = -1/2), from sum_(j<=m) C(m+1, j) B_j = 0 for m >= 1.
+
+    One table per call: callers needing several B_i build it once up to the largest.
+    """
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        # B_j vanishes at odd j >= 3.
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m) if b[j]) / (m + 1))
+    return b
 
 
 def _series_power(a: list[Fraction], e: int) -> list[Fraction]:
@@ -221,7 +214,8 @@ def verlinde_polynomial(g: int) -> VerlindePolynomial:
     m = g - 1
     # Coefficients of x^(2i), i = 0..m, of x cot x and x / sin x, both
     # multiples of B_2i / (2i)! (Abramowitz-Stegun 4.3.70 and 4.3.68).
-    bernoulli = [Fraction(*map(int, mp.bernfrac(2 * i))) / factorial(2 * i) for i in range(m + 1)]
+    table = bernoulli_numbers(2 * m)
+    bernoulli = [table[2 * i] / factorial(2 * i) for i in range(m + 1)]
     x_cot = [(-4) ** i * b for i, b in enumerate(bernoulli)]
     x_csc = [(-1) ** (i + 1) * (4**i - 2) * b for i, b in enumerate(bernoulli)]
     power = _series_power(x_csc, 2 * m)

@@ -36,9 +36,9 @@ from functools import cached_property
 from itertools import compress
 from math import comb, factorial, gcd, lcm
 
-import mpmath
 import numpy as np
 
+from verlinde_lab.fusion import bernoulli_numbers
 from verlinde_lab.graph import TrinionGraph, can_recurse, connected_edge_order
 from verlinde_lab.weights import count_via_contraction
 
@@ -558,8 +558,7 @@ def moment_volume(g: int) -> Fraction:
 
     It is 2^(2g-3) times Witten's volume, the Verlinde rank's leading coefficient.
     """
-    p, q = mpmath.bernfrac(2 * g - 2)
-    return Fraction(2 ** (3 * g - 4) * abs(int(p)), int(q) * factorial(2 * g - 2))
+    return 2 ** (3 * g - 4) * abs(bernoulli_numbers(2 * g - 2)[-1]) / factorial(2 * g - 2)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import numpy as np
@@ -540,8 +540,9 @@ def _contraction_plan(
 
     Merges follow ``_greedy_steps`` and axis orders ``_axis_orders``.
     Every edge carries k + 1 labels and the parity patterns of a tensor's
-    blocks do not depend on k either, so the plan, read off the blocks at
-    k = 0, serves every level.
+    blocks do not depend on k either: a vertex with w open edges has the
+    0/1 patterns of even sum, in lexicographic order as ``_vertex_blocks``
+    keys them.  So the plan serves every level.
     """
     G = TrinionGraph(pairing)
     edges: list[tuple[int, ...]] = []
@@ -555,7 +556,7 @@ def _contraction_plan(
     order, views = _axis_orders(edges, sets, steps)
 
     inner = [(3 - w) // 2 for w in widths]
-    patterns = [list(_vertex_blocks(w, 0)) for w in widths]
+    patterns = [[p for p in product((0, 1), repeat=w) if sum(p) % 2 == 0] for w in widths]
     merges = []
     for r, (a, b) in enumerate(steps, start=V):
         shared = sets[a] & sets[b]

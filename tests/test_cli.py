@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -770,3 +773,42 @@ def test_report_shape(capsys):
     assert list(report.keys()) == [
         "command", "inputs", "outputs", "checks", "timing_seconds",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Runtime dependencies
+# ---------------------------------------------------------------------------
+
+_WITHOUT_MPMATH = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from verlinde_lab import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_commands_run_without_mpmath(tmp_path):
+    path = tmp_path / "theta.trinion.json"
+    save_graph(theta_graph(), path)
+    commands = [
+        ["verlinde", "--genus", "12", "--level", "300"],
+        ["count", "--genus", "3", "--level", "24"],
+        ["check", "--genus", "2", "--max-level", "4"],
+        ["polytope", "--genus", "2", "--mode", "asymptotics"],
+        ["polytope", "--genus", "3", "--mode", "volume-exact"],
+        ["polytope", "--graph", str(path), "--mode", "volume-mc", "--samples", "1000"],
+        ["abelian", "--g", "2", "--level", "2"],
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(commands)

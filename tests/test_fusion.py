@@ -1,21 +1,24 @@
-"""Tests for the level-k fusion ring, its characters, and the Verlinde formula."""
+"""Tests for the level-k fusion ring, its Chebyshev image, and the Verlinde formula.
+
+The character of V_m at the point z is U_m(x) with x = 2cos z, and the
+level-k points are the roots of U_(k+1).  So the character tests here are
+exact identities in Z[x]/(U_(k+1)), with no precision and no tolerance.
+"""
 
 import math
 from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from verlinde_lab import fusion, graph
 from verlinde_lab.fusion import (
-    CharacterPoint,
     FusionElement,
     basis_element,
-    character,
-    character_homomorphism_check,
-    character_points,
+    bernoulli_numbers,
+    chebyshev_image,
+    chebyshev_product,
     clebsch_gordan,
     fusion_product,
     verlinde_dim,
@@ -53,25 +56,29 @@ def test_clebsch_gordan_rejects_negative():
         clebsch_gordan(-1, 2)
 
 
-def _fusion_from_characters(k: int, m1: int, m2: int) -> dict[int, int]:
-    """Independent oracle: recover the product multiplicities from characters.
+def _u(m: int) -> list[int]:
+    """U_m from its closed form sum_j (-1)^j C(m-j, j) x^(m-2j), independent
+    of the recurrence the package uses."""
+    out = [0] * (m + 1)
+    for j in range(m // 2 + 1):
+        out[m - 2 * j] = (-1) ** j * math.comb(m - j, j)
+    return out
 
-    The k+1 character points separate the basis, so the multiplicity vector
-    is the solution of the linear system
-        sum_p c_p chi_z(p) = chi_z(m1) chi_z(m2)   for each point z.
+
+def _from_image(k: int, poly: list[int]) -> dict[int, int]:
+    """The ring element whose image is ``poly``, by back-substitution.
+
+    U_m is monic of degree m, so the images of V_0..V_k are triangular: the
+    top coefficient of what is left is the multiplicity of the top label.
     """
-    points = character_points(k)
-    A = np.array(
-        [[float(character(z, p)) for p in range(k + 1)] for z in points]
-    )
-    rhs = np.array([float(character(z, m1) * character(z, m2)) for z in points])
-    sol = np.linalg.solve(A, rhs)
-    coeffs = {}
-    for p, c in enumerate(sol):
-        r = round(c)
-        assert abs(c - r) < 1e-6, f"non-integer multiplicity {c} at p={p}"
-        if r:
-            coeffs[p] = int(r)
+    rest, coeffs = list(poly), {}
+    for m in range(k, -1, -1):
+        c = rest[m]
+        if c:
+            coeffs[m] = c
+            for i, x in enumerate(_u(m)):
+                rest[i] -= c * x
+    assert not any(rest)
     return coeffs
 
 
@@ -79,8 +86,9 @@ def _fusion_from_characters(k: int, m1: int, m2: int) -> dict[int, int]:
 def test_fusion_product_matches_character_oracle(k):
     for m1 in range(k + 1):
         for m2 in range(m1, k + 1):
-            got = fusion_product(basis_element(k, m1), basis_element(k, m2))
-            assert got.coeffs == _fusion_from_characters(k, m1, m2)
+            a, b = basis_element(k, m1), basis_element(k, m2)
+            got = fusion_product(a, b)
+            assert got.coeffs == _from_image(k, chebyshev_product(a, b))
 
 
 def test_fusion_product_level_one():
@@ -126,62 +134,102 @@ def test_fusion_commutative_associative_exhaustive(k):
         assert left == right
 
 
-def test_character_point_range():
-    CharacterPoint(1, 0)
-    CharacterPoint(3, 2)
-    with pytest.raises(ValueError):
-        CharacterPoint(0, 2)
-    with pytest.raises(ValueError):
-        CharacterPoint(4, 2)
-
-
-def test_character_point_value():
-    z = CharacterPoint(1, 0)
-    assert abs(float(z.value) - math.pi / 2) < 1e-15
+@pytest.mark.parametrize("k", range(0, 9))
+def test_chebyshev_image_of_each_label_is_u(k):
+    for m in range(k + 1):
+        assert chebyshev_image(basis_element(k, m)) == _u(m) + [0] * (k - m)
+    element = FusionElement(k, {m: m + 1 for m in range(k + 1)})
+    assert _from_image(k, chebyshev_image(element)) == element.coeffs
 
 
 def test_character_unit():
     for k in range(5):
-        for z in character_points(k):
-            assert abs(float(character(z, 0)) - 1.0) < 1e-30
+        assert chebyshev_image(basis_element(k, 0)) == [1] + [0] * k
 
 
 def test_character_zero_of_ideal_generator_level_zero():
-    # n=1, k=0 puts z = pi/2 where the label m=1 has vanishing character.
-    z = CharacterPoint(1, 0)
-    assert abs(float(character(z, 1))) < 1e-30
+    # At level 0 the ring is Z[x]/(x): U_1 = x itself vanishes.
+    assert fusion._reduce(0, [0, 1]) == [0]
 
 
 def test_character_sqrt_two():
-    z = CharacterPoint(1, 2)
-    with mp.workprec(fusion.PRECISION_BITS):
-        assert abs(character(z, 1) - mp.sqrt(2)) < mp.mpf(2) ** -150
+    # At level 2 the characters of V_1 are the roots 0, +-sqrt(2) of
+    # U_3 = x^3 - 2x, so V_1 cubed is 2 V_1 in the ring.
+    v1 = basis_element(2, 1)
+    assert chebyshev_product(v1, fusion_product(v1, v1)) == [0, 2, 0]
+    assert fusion_product(v1, fusion_product(v1, v1)) == FusionElement(2, {1: 2})
 
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_ideal_generator_character_vanishes(k):
-    for z in character_points(k):
-        assert abs(float(character(z, k + 1))) < 1e-9
+    assert fusion._reduce(k, _u(k + 1)) == [0] * (k + 1)
+    # Then U_(k+2) = x U_(k+1) - U_k is -U_k.
+    assert fusion._reduce(k, _u(k + 2)) == [-c for c in _u(k)]
 
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_character_homomorphism_residuals(k):
-    for z in character_points(k):
-        for m1 in range(k + 1):
-            for m2 in range(m1, k + 1):
-                assert character_homomorphism_check(k, z, m1, m2) < 1e-9
+    for m1 in range(k + 1):
+        for m2 in range(m1, k + 1):
+            a, b = basis_element(k, m1), basis_element(k, m2)
+            image = chebyshev_image(fusion_product(a, b))
+            assert [p - q for p, q in zip(image, chebyshev_product(a, b))] == [0] * (k + 1)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_ring_identity_fails_for_a_wrong_product(k):
+    for m1 in range(k + 1):
+        for m2 in range(m1, k + 1):
+            a, b = basis_element(k, m1), basis_element(k, m2)
+            right = fusion_product(a, b)
+            for p in right.coeffs:
+                removed = FusionElement(k, {**right.coeffs, p: right[p] - 1})
+                assert chebyshev_image(removed) != chebyshev_product(a, b)
+            for p in range(k + 1):
+                added = right + basis_element(k, p)
+                assert chebyshev_image(added) != chebyshev_product(a, b)
 
 
 def test_character_homomorphism_unit_exact():
-    for k in (1, 2, 5):
-        for z in character_points(k):
-            for m2 in range(k + 1):
-                assert character_homomorphism_check(k, z, 0, m2) < 1e-40
+    for k in (0, 1, 2, 5, 8):
+        one = basis_element(k, 0)
+        for m in range(k + 1):
+            x = basis_element(k, m)
+            assert chebyshev_product(one, x) == chebyshev_product(x, one) == chebyshev_image(x)
 
 
 def test_character_homomorphism_level_mismatch():
-    with pytest.raises(ValueError):
-        character_homomorphism_check(2, CharacterPoint(1, 3), 1, 1)
+    with pytest.raises(ValueError, match="level mismatch"):
+        chebyshev_product(basis_element(2, 1), basis_element(3, 1))
+
+
+def test_bernoulli_numbers_equal_mpmath():
+    table = bernoulli_numbers(200)
+    assert len(table) == 201
+    for n, b in enumerate(table):
+        assert b == Fraction(*map(int, mp.bernfrac(n))), n
+
+
+def _reference_polynomial(g: int) -> tuple[int, tuple[int, ...]]:
+    """``verlinde_polynomial(g)`` as (denominator, coeffs), built as before
+    the package had its own Bernoulli table: from ``mpmath.bernfrac``."""
+    m = g - 1
+    bern = [Fraction(*map(int, mp.bernfrac(2 * i))) / math.factorial(2 * i) for i in range(m + 1)]
+    x_cot = [(-4) ** i * b for i, b in enumerate(bern)]
+    x_csc = [(-1) ** (i + 1) * (4**i - 2) * b for i, b in enumerate(bern)]
+    power = fusion._series_power(x_csc, 2 * m)
+    terms = [-c * p / 2**m for c, p in zip(x_cot, reversed(power))]
+    denominator = math.lcm(*(t.denominator for t in terms))
+    return denominator, tuple(t.numerator * (denominator // t.denominator) for t in terms)
+
+
+def test_verlinde_polynomial_and_moment_volume_equal_mpmath_reference(fresh_verlinde_cache):
+    for g in range(2, 61):
+        P = verlinde_polynomial(g)
+        assert (P.denominator, P.coeffs) == _reference_polynomial(g), g
+        p, q = mp.bernfrac(2 * g - 2)
+        volume = Fraction(2 ** (3 * g - 4) * abs(int(p)), int(q) * math.factorial(2 * g - 2))
+        assert moment_volume(g) == volume, g
 
 
 def test_verlinde_dim_base_cases():

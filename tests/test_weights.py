@@ -368,6 +368,19 @@ def test_contraction_plan_is_built_once_per_pairing():
     assert merges[-1].out == ()
 
 
+def test_building_a_plan_leaves_the_vertex_block_cache_alone():
+    # Plans are level-free: they read the even parity patterns of each
+    # width, not the blocks of some level.
+    weights._contraction_plan.cache_clear()
+    before = weights._vertex_blocks.cache_info()
+    for g in (2, 3, 4):
+        for G in generate_genus_graphs(g):
+            for m in weights._contraction_plan(G.pairing)[1]:
+                for _, _, out in m.pairs:
+                    assert len(out) == m.width and sum(out) % 2 == 0
+    assert weights._vertex_blocks.cache_info() == before
+
+
 def test_contraction_budget_fails_before_any_merge(monkeypatch):
     # The plan knows every tensor's width, so a budget that only the third
     # merge, of width 4, exceeds raises before the first merge runs.
@@ -571,8 +584,6 @@ def test_merge_equals_a_dense_einsum_reference(k, dtype):
 
 def test_vertex_blocks_are_read_only_and_shared_within_a_level():
     classes = generate_genus_graphs(4)
-    for G in classes:
-        count_via_contraction(G, 1)  # plans first, built from the blocks at k = 0
     weights._vertex_blocks.cache_clear()
     for G in classes:
         assert count_via_contraction(G, 7) == verlinde_dim(4, 7)
