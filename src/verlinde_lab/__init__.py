@@ -23,6 +23,7 @@ from verlinde_lab.graph import (
     theta_graph,
 )
 from verlinde_lab.weights import (
+    bruteforce_counts,
     count_admissible_bruteforce,
     count_via_contraction,
     enumerate_admissible,
@@ -49,6 +50,7 @@ __all__ = [
     "TrinionGraph",
     "asymptotic_table",
     "bs_points",
+    "bruteforce_counts",
     "build_polytope",
     "canonical_form",
     "clebsch_gordan",

@@ -143,11 +143,14 @@ def cmd_check(args) -> RunReport:
 
     Per level k: graph-independence[k] and contraction-equals-verlinde[k],
     then per graph one <route>-equals-contraction[k,graph] check for each
-    route that applies: brute unless it refuses the --max-states budget
-    (``WorkBoundExceeded``), lattice at k >= 1.
+    route that applies: brute at the levels its --max-states budget admits,
+    lattice at k >= 1.
     first_discrepancy is the first failed check's name and its details.
-    The lattice route counts all of a graph's levels in one pass, after the
-    contraction has run at every level.
+    After the contraction has run at every level, the lattice route counts
+    all of a graph's levels in one pass, and the brute route all of its
+    admitted levels in one depth-first search (``weights.bruteforce_counts``);
+    a graph whose search would pass the recursion limit
+    (``WorkBoundExceeded``) has no brute checks.
     """
     if args.max_level < 0:
         raise ValueError("--max-level must be non-negative")
@@ -155,7 +158,7 @@ def cmd_check(args) -> RunReport:
     graphs = [(ident, G, polytope.build_polytope(G)) for ident, G in _graphs_for(args)]
     levels = range(args.max_level + 1)
     # Every contraction first, so that a budget error comes before the
-    # lattice pass, which counts all levels of a graph at once.
+    # lattice and brute passes, which count all levels of a graph at once.
     contraction = [
         {
             ident: weights.count_via_contraction(G, k, max_frontier=args.max_frontier)
@@ -167,6 +170,11 @@ def cmd_check(args) -> RunReport:
         ident: dict(zip(levels[1:], polytope.lattice_counts(P, G, levels[1:])))
         for ident, G, P in graphs
     }
+    brute = {}
+    for ident, G, _ in graphs:
+        brute[ident] = {}
+        with contextlib.suppress(weights.WorkBoundExceeded):
+            brute[ident] = weights.bruteforce_counts(G, levels, max_states=args.max_states)
     for k in levels:
         dim = fusion.verlinde_dim(args.genus, k)
         counts = contraction[k]
@@ -179,12 +187,10 @@ def cmd_check(args) -> RunReport:
             verlinde=dim,
             counts=counts,
         )
-        for ident, G, _ in graphs:
+        for ident, _, _ in graphs:
             routes = {}
-            with contextlib.suppress(weights.WorkBoundExceeded):
-                routes["brute"] = weights.count_admissible_bruteforce(
-                    G, k, max_states=args.max_states
-                )
+            if k in brute[ident]:
+                routes["brute"] = brute[ident][k]
             if k >= 1:
                 routes["lattice"] = lattice[ident][k]
             for route, n in routes.items():
@@ -227,6 +233,8 @@ def cmd_polytope(args) -> RunReport:
         ok = all(v == closed for v in volumes)
         report.add_check("volume-equals-closed-form", ok, closed_form=str(closed))
     elif args.mode == "volume-mc":
+        if args.seed < 0:
+            raise ValueError("--seed must be non-negative")
         report.inputs["samples"] = args.samples
         report.inputs["seed"] = args.seed
         for ident, G in pairs:

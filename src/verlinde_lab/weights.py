@@ -24,6 +24,9 @@ a connected order; at each edge, the labels that satisfy every vertex
 completing there form one arithmetic progression (conditions (1)-(3) solved
 for that edge), so no label is tried that fails a vertex closing there, and
 the last edge's progression is counted by its length without a loop.
+bruteforce_counts runs that one search at the highest level the state
+budget admits and counts every lower level on the way: a labeling admitted
+there is admitted at level m exactly when each vertex sum is at most 2m.
 count_via_contraction gives every vertex a 0/1 numpy tensor over its edge
 labels and merges the tensors pairwise, in a greedy order that keeps the
 fewest edges open, planned once per graph.  Condition (1) is a Z/2 charge
@@ -148,7 +151,12 @@ def _check_state_budget(G: TrinionGraph, k: int, max_states: int) -> None:
 
 
 def _dfs_admissible(
-    G: TrinionGraph, k: int, collect: bool, max_states: int, stats: dict | None = None
+    G: TrinionGraph,
+    k: int,
+    floor: int,
+    collect: bool,
+    max_states: int,
+    stats: dict | None = None,
 ):
     """Depth-first enumeration that labels an edge with a whole progression.
 
@@ -164,15 +172,32 @@ def _dfs_admissible(
 
     These are conditions (1)-(3) for that vertex, solved for its last
     label.  Two completions that ask for different parities admit nothing.
-    A vertex with two labels set and one to come needs no test: any x and y
-    in [0, k] admit the third label |x - y|.  At the last depth the
-    progression's length is added to the count without a loop; ``collect``
-    lists it instead.
+    A loop edge meets its own vertex alone, so a depth has either plain
+    completions or one loop completion.  A vertex with two labels set and
+    one to come needs no test: any x and y in [0, k] admit the third label
+    |x - y|.  At the last depth the progression is counted without a loop;
+    ``collect`` lists it as well.
 
-    Returns (count, labels_list); labels_list is only populated when
-    ``collect`` is set.  A ``stats`` dict, if given, receives ``nodes``, the
-    prefixes whose progression was computed, and ``pruned``, those whose
-    progression was empty.
+    The one search at level k counts every level from ``floor`` to k.  A
+    labeling admissible at level k is admissible at a level m <= k exactly
+    when every vertex sum s_v is at most 2m: condition (3) already bounds
+    each label by s_v / 2, hence by m.  So each labeling is counted once, at
+    its least level max_v s_v / 2, and the count at level m sums those at
+    levels up to m.  ``rec`` carries the largest vertex sum completed so
+    far, from 2 * floor, which folds the levels below floor into floor.  The
+    child with label j completes the sums x + y + j, the largest of them
+    top + j, or the sum 2j + z; both rise with j, so the progression splits
+    where they overtake the carried maximum.  The children before the split
+    keep it and the rest take their own, each run in its own loop, with no
+    comparison per child.  At the last depth the first run adds its length
+    at one level, and the rest, one labeling per level of an interval
+    (top + j rises by 2 per step of 2, 2j + z by 2 per step of 1), add a
+    ramp to a difference array in O(1).
+
+    Returns ({m: count} for m in floor..k, labels_list); labels_list is
+    only populated when ``collect`` is set.  A ``stats`` dict, if given,
+    receives ``nodes``, the prefixes whose progression was computed, and
+    ``pruned``, those whose progression was empty.
     """
     _check_state_budget(G, k, max_states)
     E = G.edge_count
@@ -187,79 +212,126 @@ def _dfs_admissible(
     order = connected_edge_order(G)
     pos = {e: t for t, e in enumerate(order)}
     # Per depth t, the vertices whose last label is order[t]: plain ones as
-    # the pair of their other edges, loop ones as their non-loop edge.
+    # the pair of their other edges, a loop one as its non-loop edge (-1 for
+    # none).
     plain_at: list[list[tuple[int, int]]] = [[] for _ in range(E)]
-    loop_at: list[list[int]] = [[] for _ in range(E)]
+    loop_at = [-1] * E
     for triple in G.vertex_edge_triples():
         first, second, last = sorted(triple, key=pos.__getitem__)
         if second == last:
-            loop_at[pos[last]].append(first)
+            loop_at[pos[last]] = first
         else:
             plain_at[pos[last]].append((first, second))
     levels = [(order[t], plain_at[t], loop_at[t], t == E - 1) for t in range(E)]
     labels = [0] * E
     found: list[tuple[int, ...]] = []
-    count = pruned = 0
+    # least[m] counts the labelings whose least level is m; ramps is the
+    # difference array of the runs that put one labeling at each level of an
+    # interval.
+    least = [0] * (k + 2)
+    ramps = [0] * (k + 2)
+    pruned = 0
     nodes = 1  # rec(0); every later call is counted by its parent
     two_k = 2 * k
+    nothing = -k - 1  # top where no vertex completes, so that every child keeps mx
 
-    def rec(t: int):
+    def rec(t: int, mx: int):
         # Comparisons in place of min, max and abs: they run once per prefix.
-        nonlocal count, nodes, pruned
-        e, plains, loops, last = levels[t]
-        lo, hi, parity = 0, k, -1
-        for a, b in plains:
-            x = labels[a]
-            y = labels[b]
-            s = x + y
+        nonlocal nodes, pruned
+        e, plains, loop, last = levels[t]
+        if loop < 0:
+            lo = 0
+            hi = k
+            parity = -1
+            top = nothing
+            for a, b in plains:
+                x = labels[a]
+                y = labels[b]
+                s = x + y
+                if parity < 0:
+                    parity = s & 1
+                elif parity != s & 1:
+                    hi = -1
+                if s > top:
+                    top = s
+                d = x - y if x > y else y - x
+                if d > lo:
+                    lo = d
+                if s > k:  # min(s, 2k - s), which never exceeds k
+                    s = two_k - s
+                if s < hi:
+                    hi = s
             if parity < 0:
-                parity = s & 1
-            elif parity != s & 1:
-                hi = -1
-            d = x - y if x > y else y - x
-            if d > lo:
-                lo = d
-            if s > k:  # min(s, 2k - s), which never exceeds k
-                s = two_k - s
-            if s < hi:
-                hi = s
-        for a in loops:
-            z = labels[a]
-            if z & 1:
-                hi = -1
-            half = z >> 1
-            if half > lo:
-                lo = half
-            if k - half < hi:
-                hi = k - half
-        if parity < 0:
-            step = 1
+                step = 1
+            else:
+                step = 2
+                lo += (lo - parity) & 1
+            cut = mx - top  # the last j with top + j <= mx
         else:
-            step = 2
-            lo += (lo - parity) & 1
+            z = labels[loop]
+            lo = z >> 1
+            hi = -1 if z & 1 else k - lo
+            step = 1
+            cut = (mx - z) >> 1  # the last j with 2j + z <= mx
         if lo > hi:
             pruned += 1
             return
         n = (hi - lo) // step + 1
         if last:
-            count += n
             if collect:
                 for j in range(lo, hi + 1, step):
                     labels[e] = j
                     found.append(tuple(labels))
-        else:
-            nodes += n
+            if cut >= hi:
+                least[mx >> 1] += n
+                return
+            # The first i labels keep mx; the rest add a ramp from the level
+            # of label j to that of label final, (top + j) / 2 after plain
+            # completions and (2j + z) / 2 = j + lo after a loop one.
+            i = (cut - lo) // step + 1 if cut >= lo else 0
+            least[mx >> 1] += i
+            j, final = lo + i * step, lo + (n - 1) * step
+            if loop < 0:
+                ramps[(top + j) >> 1] += 1
+                ramps[((top + final) >> 1) + 1] -= 1
+            else:
+                ramps[j + lo] += 1
+                ramps[final + lo + 1] -= 1
+            return
+        nodes += n
+        if cut >= hi:
             for j in range(lo, hi + 1, step):
                 labels[e] = j
-                rec(t + 1)
+                rec(t + 1, mx)
+            return
+        span = range(lo, hi + 1, step)
+        i = (cut - lo) // step + 1 if cut >= lo else 0
+        for j in span[:i]:
+            labels[e] = j
+            rec(t + 1, mx)
+        if loop < 0:
+            for j in span[i:]:
+                labels[e] = j
+                rec(t + 1, top + j)
+        else:
+            for j in span[i:]:
+                labels[e] = j
+                rec(t + 1, 2 * j + z)
 
-    rec(0)
+    rec(0, 2 * floor)
     if stats is not None:
         stats["nodes"] = nodes
         stats["pruned"] = pruned
     if collect:
         found.sort()
-    return count, found
+    counts = {}
+    total = ramp = 0
+    for m in range(k + 1):
+        ramp += ramps[m]
+        total += least[m] + ramp
+        if m >= floor:
+            counts[m] = total
+    return counts, found
 
 
 def enumerate_admissible(
@@ -272,8 +344,35 @@ def enumerate_admissible(
     """
     if k < 0:
         raise ValueError("level must be non-negative")
-    _, found = _dfs_admissible(G, k, collect=True, max_states=max_states)
+    _, found = _dfs_admissible(G, k, k, collect=True, max_states=max_states)
     return [ThetaLabel._admitted(G, k, labels) for labels in found]
+
+
+def bruteforce_counts(
+    G: TrinionGraph,
+    levels,
+    max_states: int = DEFAULT_MAX_STATES,
+    stats: dict | None = None,
+) -> dict[int, int]:
+    """Per k in ``levels`` that the state budget admits, |enumerate_admissible(G, k)|.
+
+    A level is admitted when (k+1)^E <= max_states; refused levels are
+    absent from the result.  One ``_dfs_admissible`` runs at the highest
+    admitted level and counts every lower one on the way.  Levels may
+    repeat and come in any order.  A ``stats`` dict, if given, receives that
+    search's ``nodes`` and ``pruned`` counters; it is left as it is when
+    every level is refused.  Raises WorkBoundExceeded when the search would
+    pass the recursion limit.
+    """
+    levels = set(levels)
+    if any(k < 0 for k in levels):
+        raise ValueError("level must be non-negative")
+    admitted = sorted(k for k in levels if (k + 1) ** G.edge_count <= max_states)
+    if not admitted:
+        return {}
+    top, floor = admitted[-1], admitted[0]
+    counts, _ = _dfs_admissible(G, top, floor, collect=False, max_states=max_states, stats=stats)
+    return {k: counts[k] for k in admitted}
 
 
 def count_admissible_bruteforce(
@@ -284,13 +383,15 @@ def count_admissible_bruteforce(
 ) -> int:
     """|enumerate_admissible(G, k)| without materializing the labels.
 
-    A ``stats`` dict, if given, receives the search's ``nodes`` and
-    ``pruned`` counters (see ``_dfs_admissible``).
+    The single-level form of ``bruteforce_counts``, which raises
+    WorkBoundExceeded where that one leaves the level out.  A ``stats``
+    dict, if given, receives the search's ``nodes`` and ``pruned`` counters
+    (see ``_dfs_admissible``).
     """
     if k < 0:
         raise ValueError("level must be non-negative")
-    count, _ = _dfs_admissible(G, k, collect=False, max_states=max_states, stats=stats)
-    return count
+    counts, _ = _dfs_admissible(G, k, k, collect=False, max_states=max_states, stats=stats)
+    return counts[k]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from verlinde_lab import cli
+from verlinde_lab import cli, weights
 from verlinde_lab.abelian import AffineMultisection, MultisectionComponent
 from verlinde_lab.abelian import to_json_dict as multisection_json
 from verlinde_lab.graph import _necklace_graph, save_graph, theta_graph
@@ -376,6 +377,32 @@ def test_check_counts_each_graph_lattice_in_one_pass(capsys, monkeypatch):
     assert lattice == [4, 4, 10, 10, 20, 20]
 
 
+def test_check_counts_each_graph_brute_route_in_one_search(capsys, monkeypatch):
+    # E = 9 at genus 4: 5^9 fits the default 10^7 states and 6^9 does not,
+    # so one search per class counts k = 0..4 and k = 5, 6 have no brute check.
+    real, calls = cli.weights.bruteforce_counts, []
+
+    def recording(G, levels, **kwargs):
+        calls.append((G, list(levels)))
+        return real(G, levels, **kwargs)
+
+    monkeypatch.setattr(cli.weights, "bruteforce_counts", recording)
+    code, report, _ = run_json(capsys, "check", "--genus", "4", "--max-level", "6")
+    assert code == 0
+    graphs = cli._graphs_for(argparse.Namespace(genus=4))
+    assert calls == [(G, list(range(7))) for _, G in graphs]
+    brute = {
+        c["name"]: c["brute"]
+        for c in report["checks"]
+        if c["name"].startswith("brute-equals-contraction[")
+    }
+    assert brute == {
+        f"brute-equals-contraction[k={k},{ident}]": weights.count_admissible_bruteforce(G, k)
+        for ident, G in graphs
+        for k in range(5)
+    }
+
+
 def test_check_budget_error_comes_before_the_lattice_pass(capsys, monkeypatch):
     # A plain vertex stores 32 cells at k = 3, past a budget of 20: the
     # contraction at every level runs before any lattice count.
@@ -393,7 +420,7 @@ def test_check_budget_error_comes_before_the_lattice_pass(capsys, monkeypatch):
     "module, route, first",
     [
         ("weights", "count_via_contraction", "contraction-equals-verlinde[k=2]"),
-        ("weights", "count_admissible_bruteforce", "brute-equals-contraction[k=2,theta]"),
+        ("weights", "bruteforce_counts", "brute-equals-contraction[k=2,theta]"),
         ("polytope", "lattice_counts", "lattice-equals-contraction[k=2,theta]"),
     ],
     ids=["contraction", "brute", "lattice"],
@@ -401,11 +428,14 @@ def test_check_budget_error_comes_before_the_lattice_pass(capsys, monkeypatch):
 def test_check_reports_first_discrepancy(capsys, monkeypatch, module, route, first):
     # Sabotage one route at level 2 to verify the failure contract: nonzero
     # exit and a first-discrepancy line on stderr.  Every route takes the
-    # level last; lattice_counts takes a list of levels and returns a list.
+    # level last; lattice_counts takes a list of levels and returns a list,
+    # bruteforce_counts returns a dict by level.
     real = getattr(getattr(cli, module), route)
 
     def wrong(*args, **kwargs):
         value = real(*args, **kwargs)
+        if isinstance(value, dict):
+            return {k: n + 1 if k == 2 else n for k, n in value.items()}
         if isinstance(value, list):
             return [n + 1 if k == 2 else n for k, n in zip(args[-1], value)]
         return value + 1 if args[-1] == 2 else value
@@ -479,6 +509,14 @@ def test_polytope_volume_mc_reproducible(capsys):
     assert code1 == code2 == 0
     assert r1["outputs"] == r2["outputs"]
     assert all(c["passed"] for c in r1["checks"])
+
+
+def test_polytope_volume_mc_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(
+        capsys, "polytope", "--genus", "2", "--mode", "volume-mc", "--seed", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --seed must be non-negative\n"
 
 
 def test_polytope_asymptotics_json(capsys):
@@ -782,7 +820,7 @@ def test_report_shape(capsys):
 _WITHOUT_MPMATH = """
 import contextlib, io, json, sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
-from verlinde_lab import cli
+from verlinde_lab import cli, weights
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -24,6 +24,7 @@ from verlinde_lab.weights import (
     ThetaLabel,
     WeightAssignment,
     WorkBoundExceeded,
+    bruteforce_counts,
     count_admissible_bruteforce,
     count_via_contraction,
     enumerate_admissible,
@@ -282,6 +283,82 @@ def test_bruteforce_equals_contraction_on_the_genus_six_necklace(k):
     G = _necklace_graph(10)
     n = count_admissible_bruteforce(G, k, max_states=(k + 1) ** G.edge_count)
     assert n == count_via_contraction(G, k) == verlinde_dim(6, k)
+
+
+@pytest.mark.parametrize("genus, top", [(2, 16), (3, 8), (4, 4)])
+def test_bruteforce_counts_equal_the_single_level_counts(genus, top):
+    # One search at the top level counts every level below it, with the
+    # counters of the single-level search at the top.
+    levels = range(top + 1)
+    for G in generate_genus_graphs(genus):
+        stats: dict = {}
+        single: dict = {}
+        got = bruteforce_counts(G, levels, stats=stats)
+        assert got == {k: count_admissible_bruteforce(G, k) for k in levels}
+        count_admissible_bruteforce(G, top, stats=single)
+        assert stats == single
+
+
+def test_bruteforce_counts_takes_levels_in_any_order():
+    G = generate_genus_graphs(3)[1]
+    want = {k: count_admissible_bruteforce(G, k) for k in (1, 2, 3, 5)}
+    assert bruteforce_counts(G, [5, 1, 3, 1, 5]) == {k: want[k] for k in (1, 3, 5)}
+    assert bruteforce_counts(G, (3, 2)) == {2: want[2], 3: want[3]}
+    assert bruteforce_counts(G, [0]) == {0: 1}
+    assert bruteforce_counts(G, []) == {}
+    with pytest.raises(ValueError, match="non-negative"):
+        bruteforce_counts(G, [2, -1])
+
+
+def test_bruteforce_counts_leave_out_the_levels_past_the_budget():
+    # E = 9 at genus 4: 5^9 fits the default 10^7 states and 6^9 does not.
+    G = generate_genus_graphs(4)[3]
+    got = bruteforce_counts(G, range(7))
+    assert list(got) == [0, 1, 2, 3, 4]
+    assert got == {k: count_admissible_bruteforce(G, k) for k in range(5)}
+    with pytest.raises(WorkBoundExceeded):
+        count_admissible_bruteforce(G, 5)
+    assert bruteforce_counts(G, range(7), max_states=5**9 - 1) == {k: got[k] for k in range(4)}
+    stats: dict = {}
+    assert bruteforce_counts(G, range(7), max_states=0, stats=stats) == {}
+    assert stats == {}
+
+
+def test_bruteforce_counts_recursion_limit():
+    # As for count_admissible_bruteforce: E + 2 frames below
+    # _dfs_admissible, and bruteforce_counts and _dfs_admissible take two.
+    G = _necklace_graph(10)  # genus 6, E = 15
+    limit = sys.getrecursionlimit()
+    lo, hi = 1, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if can_recurse(mid) else (lo, mid - 1)
+    try:
+        sys.setrecursionlimit(limit - lo + G.edge_count + 4)
+        assert bruteforce_counts(G, [0, 1]) == {0: 1, 1: verlinde_dim(6, 1)}
+        sys.setrecursionlimit(limit - lo + G.edge_count + 3)
+        with pytest.raises(WorkBoundExceeded, match="E = 15 edges need 17 nested"):
+            bruteforce_counts(G, [0, 1])
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize(
+    "graphs, top",
+    [((THETA, DUMBBELL), 8), (tuple(generate_genus_graphs(3)), 5)],
+    ids=["genus-2", "genus-3"],
+)
+def test_a_labeling_is_admissible_below_its_level_by_its_largest_vertex_sum(graphs, top):
+    # The identity bruteforce_counts rests on: admissible at level top, a
+    # labeling is admissible at k <= top exactly when every vertex sum is at
+    # most 2k, its labels then lying in [0, k] by condition (3).
+    for G in graphs:
+        triples = G.vertex_edge_triples()
+        for w in enumerate_admissible(G, top):
+            largest = max(sum(w.labels[e] for e in v) for v in triples)
+            for k in range(top + 1):
+                fits = max(w.labels) <= k and is_admissible(G, WeightAssignment(G, k, w.labels))
+                assert fits == (largest <= 2 * k)
 
 
 # ---------------------------------------------------------------------------
