@@ -9,7 +9,6 @@ Work and memory budgets are explicit flags, and seeds are explicit flags.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -148,9 +147,7 @@ def cmd_check(args) -> RunReport:
     first_discrepancy is the first failed check's name and its details.
     After the contraction has run at every level, the lattice route counts
     all of a graph's levels in one pass, and the brute route all of its
-    admitted levels in one depth-first search (``weights.bruteforce_counts``);
-    a graph whose search would pass the recursion limit
-    (``WorkBoundExceeded``) has no brute checks.
+    admitted levels in one depth-first search (``weights.bruteforce_counts``).
     """
     if args.max_level < 0:
         raise ValueError("--max-level must be non-negative")
@@ -170,11 +167,10 @@ def cmd_check(args) -> RunReport:
         ident: dict(zip(levels[1:], polytope.lattice_counts(P, G, levels[1:])))
         for ident, G, P in graphs
     }
-    brute = {}
-    for ident, G, _ in graphs:
-        brute[ident] = {}
-        with contextlib.suppress(weights.WorkBoundExceeded):
-            brute[ident] = weights.bruteforce_counts(G, levels, max_states=args.max_states)
+    brute = {
+        ident: weights.bruteforce_counts(G, levels, max_states=args.max_states)
+        for ident, G, _ in graphs
+    }
     for k in levels:
         dim = fusion.verlinde_dim(args.genus, k)
         counts = contraction[k]

@@ -154,8 +154,8 @@ def connected_edge_order(G: TrinionGraph) -> list[int]:
     Breadth-first from vertex 0: a vertex's edges are appended as soon as the
     vertex is dequeued, so every edge after the first shares an endpoint with
     an earlier one and vertex conditions complete early in the order.  Both
-    counting routes that label edges one at a time (the brute-force DFS and
-    the lattice-point frontier) use it.
+    counting routes that label edges one at a time (the brute-force search
+    and the lattice-point frontier) use it.
     """
     triples = G.vertex_edge_triples()
     edges = G.edges
@@ -181,8 +181,8 @@ def connected_edge_order(G: TrinionGraph) -> list[int]:
 def can_recurse(frames: int) -> bool:
     """Whether the caller can still call ``frames`` nested Python frames.
 
-    The counting routes that label edges in ``connected_edge_order`` recurse
-    one frame per edge; they ask this before they start.  It is measured by
+    The lattice-point count recurses one frame per edge of
+    ``connected_edge_order``; it asks this before it starts.  It is measured by
     nesting that many calls, since the C calls between Python frames count
     against ``sys.getrecursionlimit()`` on some Python versions, unseen by
     the frame stack.

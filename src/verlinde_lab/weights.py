@@ -23,7 +23,11 @@ is a depth-first enumeration and serves as the oracle.  It labels edges in
 a connected order; at each edge, the labels that satisfy every vertex
 completing there form one arithmetic progression (conditions (1)-(3) solved
 for that edge), so no label is tried that fails a vertex closing there, and
-the last edge's progression is counted by its length without a loop.
+the last edge's progression is counted by its length, not listed.  The
+search runs on numpy frontiers, every prefix of a depth that it holds at
+once as one int64 column, expanded depth-first in slices of at most 65536
+cells from an explicit stack: memory stays bounded, and no depth costs a
+Python frame, so any edge count is searched.
 bruteforce_counts runs that one search at the highest level the state
 budget admits and counts every lower level on the way: a labeling admitted
 there is admitted at level m exactly when each vertex sum is at most 2m.
@@ -46,7 +50,6 @@ cell, to about 80 MB.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -54,10 +57,14 @@ from math import prod
 
 import numpy as np
 
-from verlinde_lab.graph import TrinionGraph, can_recurse, connected_edge_order
+from verlinde_lab.graph import TrinionGraph, connected_edge_order
 
 #: Enumeration refuses when the raw label space (k+1)^E exceeds this.
 DEFAULT_MAX_STATES = 10**7
+
+#: The brute-force search expands its frontier in slices of at most this many
+#: cells, a prefix's labels being its cells; the bound lattice_counts uses.
+_SEARCH_CHUNK = 65536
 
 #: Contraction refuses when any tensor frontier needs more than this many stored cells.
 DEFAULT_MAX_FRONTIER = 10**7
@@ -68,7 +75,7 @@ _FLOAT_EXACT_LIMIT = 2**53
 
 
 class WorkBoundExceeded(RuntimeError):
-    """Raised when brute-force enumeration would exceed its state budget or stack."""
+    """Raised when brute-force enumeration would exceed its state budget."""
 
 
 class FrontierBudgetExceeded(RuntimeError):
@@ -158,12 +165,14 @@ def _dfs_admissible(
     max_states: int,
     stats: dict | None = None,
 ):
-    """Depth-first enumeration that labels an edge with a whole progression.
+    """Depth-first frontier search that labels an edge with a whole progression.
 
-    Edges are labelled in ``connected_edge_order``.  At depth t the labels
-    that edge order[t] may take, given the labels before it, are one
-    arithmetic progression range(lo, hi + 1, step), read from the vertices
-    whose last label is order[t]:
+    Edges are labelled in ``connected_edge_order``; a prefix labels the
+    first t edges, and all prefixes of one depth that the search holds at
+    once form a frontier, one int64 column each.  At depth t the labels
+    that edge order[t] may take, given a prefix, are one arithmetic
+    progression range(lo, hi + 1, step), read from the vertices whose last
+    label is order[t]:
 
     - a plain completion, with order[t] once and earlier labels x and y,
       admits j = x + y (mod 2) with |x - y| <= j <= min(x + y, 2k - x - y);
@@ -173,26 +182,34 @@ def _dfs_admissible(
     These are conditions (1)-(3) for that vertex, solved for its last
     label.  Two completions that ask for different parities admit nothing.
     A loop edge meets its own vertex alone, so a depth has either plain
-    completions or one loop completion.  A vertex with two labels set and
-    one to come needs no test: any x and y in [0, k] admit the third label
-    |x - y|.  At the last depth the progression is counted without a loop;
-    ``collect`` lists it as well.
+    completions or one loop completion, and one step for every prefix.  A
+    vertex with two labels set and one to come needs no test: any x and y
+    in [0, k] admit the third label |x - y|.  The next frontier repeats
+    each prefix once per label of its progression; the last depth's
+    progressions are counted, not materialised, unless ``collect`` lists
+    them.
+
+    Frontiers are expanded depth-first in slices, driven from an explicit
+    stack of one slice generator per depth, so no depth costs a Python
+    frame.  A slice holds at most ``_SEARCH_CHUNK`` cells, a prefix's cells
+    being its labels, except that it takes at least one parent's children,
+    at most k + 1.  Which prefixes are visited does not depend on the
+    slicing, so neither do the counts and counters.
 
     The one search at level k counts every level from ``floor`` to k.  A
     labeling admissible at level k is admissible at a level m <= k exactly
     when every vertex sum s_v is at most 2m: condition (3) already bounds
     each label by s_v / 2, hence by m.  So each labeling is counted once, at
     its least level max_v s_v / 2, and the count at level m sums those at
-    levels up to m.  ``rec`` carries the largest vertex sum completed so
-    far, from 2 * floor, which folds the levels below floor into floor.  The
-    child with label j completes the sums x + y + j, the largest of them
-    top + j, or the sum 2j + z; both rise with j, so the progression splits
-    where they overtake the carried maximum.  The children before the split
-    keep it and the rest take their own, each run in its own loop, with no
-    comparison per child.  At the last depth the first run adds its length
-    at one level, and the rest, one labeling per level of an interval
-    (top + j rises by 2 per step of 2, 2j + z by 2 per step of 1), add a
-    ramp to a difference array in O(1).
+    levels up to m.  Each prefix carries ``mx``, the largest vertex sum
+    completed so far, from 2 * floor, which folds the levels below floor
+    into floor.  Label j completes the sums x + y + j, the largest of them
+    top + j, or the sum 2j + z; either is base + slope * j, which rises with
+    j, so a child takes the larger of its parent's mx and that sum.  At the
+    last depth the labels up to the split where it overtakes mx add their
+    number at mx's level, and the rest, one labeling per level of an
+    interval (top + j rises by 2 per step of 2, 2j + z by 2 per step of 1),
+    add a ramp to a difference array at its two ends.
 
     Returns ({m: count} for m in floor..k, labels_list); labels_list is
     only populated when ``collect`` is set.  A ``stats`` dict, if given,
@@ -201,137 +218,127 @@ def _dfs_admissible(
     """
     _check_state_budget(G, k, max_states)
     E = G.edge_count
-    # rec(0) .. rec(E - 1), the C calls the deepest frame makes to record
-    # labelings, and one frame to spare.
-    if not can_recurse(E + 2):
-        raise WorkBoundExceeded(
-            f"depth-first enumeration recurses once per edge: E = {E} edges "
-            f"need {E + 2} nested frames, more than the recursion limit "
-            f"{sys.getrecursionlimit()} leaves; use count_via_contraction instead"
-        )
     order = connected_edge_order(G)
     pos = {e: t for t, e in enumerate(order)}
     # Per depth t, the vertices whose last label is order[t]: plain ones as
-    # the pair of their other edges, a loop one as its non-loop edge (-1 for
-    # none).
+    # the depths of their other two edges, a loop one as the depth of its
+    # non-loop edge (-1 for none).
     plain_at: list[list[tuple[int, int]]] = [[] for _ in range(E)]
     loop_at = [-1] * E
     for triple in G.vertex_edge_triples():
-        first, second, last = sorted(triple, key=pos.__getitem__)
+        first, second, last = sorted(pos[e] for e in triple)
         if second == last:
-            loop_at[pos[last]] = first
+            loop_at[last] = first
         else:
-            plain_at[pos[last]].append((first, second))
-    levels = [(order[t], plain_at[t], loop_at[t], t == E - 1) for t in range(E)]
-    labels = [0] * E
-    found: list[tuple[int, ...]] = []
-    # least[m] counts the labelings whose least level is m; ramps is the
-    # difference array of the runs that put one labeling at each level of an
-    # interval.
-    least = [0] * (k + 2)
-    ramps = [0] * (k + 2)
-    pruned = 0
-    nodes = 1  # rec(0); every later call is counted by its parent
+            plain_at[last].append((first, second))
+    # The same, as index arrays: row 0 the first depths, row 1 the second.
+    pairs_at = [np.array(p, dtype=np.intp).T if p else None for p in plain_at]
     two_k = 2 * k
-    nothing = -k - 1  # top where no vertex completes, so that every child keeps mx
+    found: list[np.ndarray] = []
+    # Row 0 counts the labelings by their least level; row 1 is the
+    # difference array of the runs that put one labeling at each level of an
+    # interval.  Each slice is tallied in int64, at most (k + 1) per prefix,
+    # and added into these Python ints, whose totals may pass 2^63.
+    tally = [[0] * (k + 2), [0] * (k + 2)]
+    nodes = 1  # the root prefix; every later one is counted by its parent
+    pruned = 0
 
-    def rec(t: int, mx: int):
-        # Comparisons in place of min, max and abs: they run once per prefix.
-        nonlocal nodes, pruned
-        e, plains, loop, last = levels[t]
-        if loop < 0:
-            lo = 0
-            hi = k
-            parity = -1
-            top = nothing
-            for a, b in plains:
-                x = labels[a]
-                y = labels[b]
-                s = x + y
-                if parity < 0:
-                    parity = s & 1
-                elif parity != s & 1:
-                    hi = -1
-                if s > top:
-                    top = s
-                d = x - y if x > y else y - x
-                if d > lo:
-                    lo = d
-                if s > k:  # min(s, 2k - s), which never exceeds k
-                    s = two_k - s
-                if s < hi:
-                    hi = s
-            if parity < 0:
-                step = 1
-            else:
-                step = 2
-                lo += (lo - parity) & 1
-            cut = mx - top  # the last j with top + j <= mx
-        else:
-            z = labels[loop]
+    def progressions(t: int, labels: np.ndarray):
+        """lo, count, base, step and slope of every prefix's progression at depth t."""
+        P = labels.shape[1]
+        if loop_at[t] >= 0:
+            z = labels[loop_at[t]]
             lo = z >> 1
-            hi = -1 if z & 1 else k - lo
-            step = 1
-            cut = (mx - z) >> 1  # the last j with 2j + z <= mx
-        if lo > hi:
-            pruned += 1
-            return
-        n = (hi - lo) // step + 1
-        if last:
-            if collect:
-                for j in range(lo, hi + 1, step):
-                    labels[e] = j
-                    found.append(tuple(labels))
-            if cut >= hi:
-                least[mx >> 1] += n
-                return
-            # The first i labels keep mx; the rest add a ramp from the level
-            # of label j to that of label final, (top + j) / 2 after plain
-            # completions and (2j + z) / 2 = j + lo after a loop one.
-            i = (cut - lo) // step + 1 if cut >= lo else 0
-            least[mx >> 1] += i
-            j, final = lo + i * step, lo + (n - 1) * step
-            if loop < 0:
-                ramps[(top + j) >> 1] += 1
-                ramps[((top + final) >> 1) + 1] -= 1
-            else:
-                ramps[j + lo] += 1
-                ramps[final + lo + 1] -= 1
-            return
-        nodes += n
-        if cut >= hi:
-            for j in range(lo, hi + 1, step):
-                labels[e] = j
-                rec(t + 1, mx)
-            return
-        span = range(lo, hi + 1, step)
-        i = (cut - lo) // step + 1 if cut >= lo else 0
-        for j in span[:i]:
-            labels[e] = j
-            rec(t + 1, mx)
-        if loop < 0:
-            for j in span[i:]:
-                labels[e] = j
-                rec(t + 1, top + j)
-        else:
-            for j in span[i:]:
-                labels[e] = j
-                rec(t + 1, 2 * j + z)
+            hi = np.where(z & 1, -1, k - lo)
+            return lo, np.maximum(hi - lo + 1, 0), z, 1, 2
+        if pairs_at[t] is None:
+            # No vertex completes: every label is admitted, and a base this
+            # low leaves every child's mx as it is.
+            return np.zeros(P, np.int64), np.full(P, k + 1), np.full(P, -k - 1), 1, 1
+        a, b = pairs_at[t]
+        x, y = labels[a], labels[b]
+        s = x + y
+        parity = s[0] & 1
+        lo = np.abs(x - y).max(axis=0)
+        lo += (lo ^ parity) & 1
+        hi = np.minimum(s, two_k - s).min(axis=0)
+        hi[((s & 1) != parity).any(axis=0)] = -1
+        return lo, np.maximum(hi - lo, -2) // 2 + 1, s.max(axis=0), 2, 1
 
-    rec(0, 2 * floor)
+    def extend(labels: np.ndarray, lo: np.ndarray, cnt: np.ndarray, step: int) -> np.ndarray:
+        """Each prefix repeated once per label of its progression, that label appended."""
+        child = np.empty((labels.shape[0] + 1, int(cnt.sum())), dtype=np.int64)
+        child[:-1] = labels.repeat(cnt, axis=1)
+        # Label j of a prefix is lo + step * (its rank among the prefix's labels).
+        child[-1] = (lo - step * (np.cumsum(cnt) - cnt)).repeat(cnt)
+        child[-1] += step * np.arange(child.shape[1])
+        return child
+
+    def children(t: int, labels: np.ndarray, mx: np.ndarray):
+        """Count the frontier at depth t and yield its children in slices."""
+        nonlocal nodes, pruned
+        lo, cnt, base, step, slope = progressions(t, labels)
+        pruned += int(np.count_nonzero(cnt == 0))
+        if t == E - 1:
+            # The first i labels keep mx; the rest add a ramp from the level
+            # of the sum the first of them completes to that of the last.
+            cut = (mx - base) // slope  # the last j with base + slope * j <= mx
+            i = np.clip((cut - lo) // step + 1, 0, cnt)
+            ramp = i < cnt
+            first = base + slope * (lo + i * step)
+            final = base + slope * (lo + (cnt - 1) * step)
+            sums = np.zeros((2, k + 2), dtype=np.int64)
+            np.add.at(sums[0], mx >> 1, i)
+            np.add.at(sums[1], first[ramp] >> 1, 1)
+            np.add.at(sums[1], (final[ramp] >> 1) + 1, -1)
+            for row, add in zip(tally, sums.tolist()):
+                for m, value in enumerate(add):
+                    row[m] += value
+            if collect:
+                found.append(extend(labels, lo, cnt, step))
+            return
+        nodes += int(cnt.sum())
+        ends = np.cumsum(cnt)
+        # A child holds t + 1 labels.
+        budget = max(_SEARCH_CHUNK // (t + 1), 1)
+        start = 0
+        while start < len(cnt):
+            done = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, done + budget, side="right")), start + 1)
+            at = slice(start, stop)
+            n = cnt[at]
+            child = extend(labels[:, at], lo[at], n, step)
+            if child.size:
+                yield child, np.maximum(mx[at].repeat(n), base[at].repeat(n) + slope * child[-1])
+            start = stop
+
+    stack = [children(0, np.zeros((0, 1), dtype=np.int64), np.array([2 * floor]))]
+    while stack:
+        frontier = next(stack[-1], None)
+        if frontier is None:
+            stack.pop()
+        else:
+            stack.append(children(len(stack), *frontier))
+
     if stats is not None:
         stats["nodes"] = nodes
         stats["pruned"] = pruned
+    labelings: list[tuple[int, ...]] = []
     if collect:
-        found.sort()
+        by_edge = np.empty((E, sum(f.shape[1] for f in found)), dtype=np.int64)
+        by_edge[order] = np.concatenate(found, axis=1)
+        # Lexicographic by label tuple: np.lexsort's last key is its first.
+        by_edge = by_edge[:, np.lexsort(by_edge[::-1])]
+        labelings = list(map(tuple, by_edge.T.tolist()))
     counts = {}
     total = ramp = 0
+    least, ramps = tally
     for m in range(k + 1):
         ramp += ramps[m]
         total += least[m] + ramp
         if m >= floor:
             counts[m] = total
-    return counts, found
+    return counts, labelings
 
 
 def enumerate_admissible(
@@ -361,8 +368,7 @@ def bruteforce_counts(
     admitted level and counts every lower one on the way.  Levels may
     repeat and come in any order.  A ``stats`` dict, if given, receives that
     search's ``nodes`` and ``pruned`` counters; it is left as it is when
-    every level is refused.  Raises WorkBoundExceeded when the search would
-    pass the recursion limit.
+    every level is refused.
     """
     levels = set(levels)
     if any(k < 0 for k in levels):

@@ -216,18 +216,21 @@ def test_count_work_bound_error(capsys):
     assert "count_via_contraction" in err
 
 
-def test_count_brute_deep_graph_is_an_error(tmp_path, capsys):
-    # At k = 0 the state budget admits any graph, (0+1)^E = 1, but the DFS
-    # recurses once per edge: genus 400 has E = 1197, past the recursion limit.
+def test_count_brute_on_a_graph_past_the_recursion_limit(tmp_path, capsys):
+    # At k = 0 the state budget admits any graph, (0+1)^E = 1, and the search
+    # keeps its depths on a stack, not in frames: genus 400 has E = 1197,
+    # past the recursion limit.  Its one labeling, all zeros, is the level-0
+    # Verlinde rank, 1 at every genus.
     path = tmp_path / "necklace.trinion.json"
     save_graph(_necklace_graph(798), path)
-    code, out, err = run_cli(
+    code, report, _ = run_json(
         capsys, "count", "--graph", str(path), "--level", "0", "--method", "brute"
     )
-    assert code == 1 and out == ""
-    assert err.startswith("error: depth-first enumeration recurses once per edge: ")
-    assert "E = 1197 edges" in err
-    assert "Traceback" not in err
+    assert code == 0
+    assert report["outputs"]["count"] == 1
+    (row,) = report["outputs"]["per_graph"]
+    # One node per prefix of the all-zero labeling, the empty one among them.
+    assert (row["nodes"], row["pruned"]) == (1197, 0)
 
 
 # ---------------------------------------------------------------------------

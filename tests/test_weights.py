@@ -167,24 +167,25 @@ def test_work_bound():
         enumerate_admissible(THETA, 1000, max_states=10**6)
 
 
-def test_work_bound_recursion_limit():
-    # The DFS asks for E + 2 nested frames below _dfs_admissible: one per
-    # edge, the calls the deepest frame makes, and one to spare.  One fewer
-    # raises the budget error before recursing, never RecursionError.
-    G = _necklace_graph(10)  # genus 6, E = 15
-    expected = verlinde_dim(6, 1)
-    limit = sys.getrecursionlimit()
-    lo, hi = 1, limit  # frames this test's callees can nest now
+def _frames_left() -> int:
+    """How many nested frames this test's callees can still call."""
+    lo, hi = 1, sys.getrecursionlimit()
     while lo < hi:
         mid = (lo + hi + 1) // 2
         lo, hi = (mid, hi) if can_recurse(mid) else (lo, mid - 1)
+    return lo
+
+
+def test_work_bound_recursion_limit():
+    # The search keeps one slice generator per depth on an explicit stack,
+    # not one frame per edge, so a recursion limit that leaves fewer than
+    # E + 2 frames below _dfs_admissible does not stop it.
+    G = _necklace_graph(10)  # genus 6, E = 15
+    limit = sys.getrecursionlimit()
     try:
         # count_admissible_bruteforce and _dfs_admissible take two of them.
-        sys.setrecursionlimit(limit - lo + G.edge_count + 4)
-        assert count_admissible_bruteforce(G, 1) == expected
-        sys.setrecursionlimit(limit - lo + G.edge_count + 3)
-        with pytest.raises(WorkBoundExceeded, match="E = 15 edges need 17 nested"):
-            count_admissible_bruteforce(G, 1)
+        sys.setrecursionlimit(limit - _frames_left() + G.edge_count + 3)
+        assert count_admissible_bruteforce(G, 1) == verlinde_dim(6, 1)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -324,21 +325,43 @@ def test_bruteforce_counts_leave_out_the_levels_past_the_budget():
     assert stats == {}
 
 
+@pytest.mark.parametrize("k", (0, 1, 2, 4))
+def test_search_slices_leave_counts_counters_and_labelings_alone(k, monkeypatch):
+    # A bound of two cells splits every frontier past the root into slices
+    # of one parent's children each, against none split at the default
+    # bound.  The prefixes visited are the same, so everything read off
+    # them is too.
+    graphs = (THETA, DUMBBELL, *generate_genus_graphs(3), *generate_genus_graphs(4)[::5][:2])
+
+    def search():
+        out = []
+        for G in graphs:
+            single: dict = {}
+            levels: dict = {}
+            out.append(
+                (
+                    count_admissible_bruteforce(G, k, stats=single),
+                    single,
+                    bruteforce_counts(G, range(k + 1), stats=levels),
+                    levels,
+                    [w.labels for w in enumerate_admissible(G, k)],
+                )
+            )
+        return out
+
+    whole = search()
+    monkeypatch.setattr(weights, "_SEARCH_CHUNK", 2)
+    assert search() == whole
+
+
 def test_bruteforce_counts_recursion_limit():
-    # As for count_admissible_bruteforce: E + 2 frames below
+    # As for count_admissible_bruteforce: fewer than E + 2 frames below
     # _dfs_admissible, and bruteforce_counts and _dfs_admissible take two.
     G = _necklace_graph(10)  # genus 6, E = 15
     limit = sys.getrecursionlimit()
-    lo, hi = 1, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if can_recurse(mid) else (lo, mid - 1)
     try:
-        sys.setrecursionlimit(limit - lo + G.edge_count + 4)
+        sys.setrecursionlimit(limit - _frames_left() + G.edge_count + 3)
         assert bruteforce_counts(G, [0, 1]) == {0: 1, 1: verlinde_dim(6, 1)}
-        sys.setrecursionlimit(limit - lo + G.edge_count + 3)
-        with pytest.raises(WorkBoundExceeded, match="E = 15 edges need 17 nested"):
-            bruteforce_counts(G, [0, 1])
     finally:
         sys.setrecursionlimit(limit)
 
