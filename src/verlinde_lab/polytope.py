@@ -47,7 +47,9 @@ MAX_EXACT_DIMENSION = 6
 
 MIN_MC_SAMPLES = 10**3
 
-_MC_CHUNK = 65536
+#: mc_volume draws and tests its samples in slices of at most this many
+#: cells: a sample's coordinates and its values on the first-stage rows.
+_MC_CELLS = 2**18
 
 #: lattice_counts expands each frontier in slices of at most this many cells:
 #: a partial point's labels, and the bounds and products of the rows read at
@@ -312,6 +314,17 @@ def mc_volume(
     so skipping it changes no hit.  The test is made exactly, on the integer
     rows; for a moment polytope it drops the box rows.  A polytope with no
     row left (the unit box) estimates 1.0.
+
+    Samples are drawn in slices of at most ``_MC_CELLS`` cells, a sample
+    costing its dim coordinates and one value per first-stage row; the
+    generator yields the same stream however its draws are sliced.  Each
+    slice is tested in two stages.  The first is the first half of the r
+    tested rows, rounded up and in row order (whole vertices first for a
+    moment polytope), as one rows-by-samples matrix product over the slice.
+    The second runs the other rows only on the samples that survived,
+    gathered with ``take``; with one row or none it is empty and passes
+    every survivor.  A sample hits when every row holds, whatever order the
+    rows are tested in, so neither the slices nor the split change a hit.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
@@ -320,18 +333,19 @@ def mc_volume(
         for (a, b), (ia, ib) in zip(P.ineqs, P.integer_rows)
         if sum(c for c in ia if c > 0) > ib
     ]
-    A = np.array([[float(c) for c in a] for a, _ in cut], dtype=float).reshape(-1, P.dim)
+    A = np.array([[float(c) for c in a] for a, _ in cut], dtype=float).reshape(len(cut), P.dim)
     b = np.array([float(bb) for _, bb in cut], dtype=float)[:, None]
+    half = (len(cut) + 1) // 2
+    first, first_b, second, second_b = A[:half], b[:half], A[half:], b[half:]
+    per_slice = max(1, _MC_CELLS // max(1, P.dim + half))
     rng = np.random.default_rng(rng_seed)
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        x = rng.random((n, P.dim))
+    for start in range(0, samples, per_slice):
+        x = rng.random((min(per_slice, samples - start), P.dim))
         # Rows by samples: all(axis=0) ANDs whole rows of samples at once;
         # reducing one short row per sample cost more than the matmul.
-        hits += int(np.count_nonzero((A @ x.T <= b).all(axis=0)))
-        remaining -= n
+        kept = x.take(np.flatnonzero((first @ x.T <= first_b).all(axis=0)), axis=0)
+        hits += int(np.count_nonzero((second @ kept.T <= second_b).all(axis=0)))
     estimate = hits / samples
     stderr = (estimate * (1.0 - estimate) / samples) ** 0.5
     return estimate, stderr

@@ -50,6 +50,7 @@ cell, to about 80 MB.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -554,26 +555,40 @@ def _greedy_steps(edges: list[tuple[int, ...]]) -> tuple[list, list[set[int]]]:
     Vertex v's tensor fills slot v and merge m fills slot V + m.  Each step
     merges the pair whose result leaves the fewest open edges, ties broken
     by position in the list of live tensors, a merge's result appended last.
+    That list stays in slot order, so the tie-break compares slot numbers.
+    Only pairs that share an open edge are candidates, and every open edge
+    lies in exactly two live tensors: the candidates wait in a heap, a merge
+    pushes its result's pairs and a pair is dropped when it is popped after
+    one of its slots was merged.  ROADMAP item 1's searched merge order is
+    to replace this function.
     """
     sets = [set(e) for e in edges]
-    live = list(range(len(edges)))
+    owners: dict[int, list[int]] = {}
+    for v, e in enumerate(edges):
+        for x in e:
+            owners.setdefault(x, []).append(v)
+    heap = [(len(sets[a] ^ sets[b]), a, b) for a, b in {tuple(o) for o in owners.values()}]
+    heapq.heapify(heap)
+    live = set(range(len(edges)))
     steps = []
     while len(live) > 1:
-        best = None
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                edges_i, edges_j = sets[live[i]], sets[live[j]]
-                if not edges_i & edges_j:
-                    continue
-                cand = (len(edges_i ^ edges_j), i, j)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None, "connected graph always leaves a sharing pair"
-        _, i, j = best
-        a, b = live[i], live[j]
+        assert heap, "connected graph always leaves a sharing pair"
+        _, a, b = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
+        r = len(sets)
         steps.append((a, b))
-        live = [s for s in live if s not in (a, b)] + [len(sets)]
+        live -= {a, b}
+        live.add(r)
         sets.append(sets[a] ^ sets[b])
+        others = set()
+        for x in sets[r]:
+            p, q = owners[x]
+            other = q if p in (a, b) else p
+            owners[x] = [other, r]
+            others.add(other)
+        for o in others:
+            heapq.heappush(heap, (len(sets[o] ^ sets[r]), o, r))
     return steps, sets
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -367,6 +368,11 @@ def test_mc_sample_floor():
         mc_volume(_box(2), 999, 0)
 
 
+#: The reference draws its samples in chunks of its own size, so that it
+#: slices the stream differently from the code it checks.
+_REFERENCE_CHUNK = 65536
+
+
 def _mc_volume_row_major(P, samples, rng_seed):
     """Reference: every row tested, one sample per row of x @ A.T."""
     A = np.array([[float(c) for c in a] for a, _ in P.ineqs], dtype=float)
@@ -375,7 +381,7 @@ def _mc_volume_row_major(P, samples, rng_seed):
     hits = 0
     remaining = samples
     while remaining > 0:
-        n = min(polytope._MC_CHUNK, remaining)
+        n = min(_REFERENCE_CHUNK, remaining)
         x = rng.random((n, P.dim))
         hits += int((x @ A.T <= b).all(axis=1).sum())
         remaining -= n
@@ -385,7 +391,10 @@ def _mc_volume_row_major(P, samples, rng_seed):
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_mc_equals_row_major_reference_on_every_class(g):
-    samples = polytope._MC_CHUNK + 3001  # a full chunk and a partial one
+    # A full chunk of the reference and a partial one; at genus 4, where
+    # mc_volume's slices hold 12,483 to 15,420 samples, four or five full
+    # slices and a partial one.
+    samples = 68_537
     for i, G in enumerate(generate_genus_graphs(g)):
         P = build_polytope(G)
         assert mc_volume(P, samples, 100 * g + i) == _mc_volume_row_major(P, samples, 100 * g + i)
@@ -393,22 +402,59 @@ def test_mc_equals_row_major_reference_on_every_class(g):
 
 _BOX_ROWS_2D = [["-1", "0", "0"], ["0", "-1", "0"], ["1", "0", "1"], ["0", "1", "1"]]
 
+_JSON_EXTRA_ROWS = [
+    [["2", "0", "1"]],  # 2c_0 <= 1: the cube does not imply it
+    [["1/3", "1", "1"]],  # positive part 4/3 > 1
+    [["1", "1", "2"]],  # c_0 + c_1 <= 2: implied
+    [["1/3", "1/3", "1"], ["1", "-1", "1"]],  # implied, with a 1/3 coefficient
+    [["2", "0", "1"], ["1", "1", "2"], ["1/3", "1", "1"], ["-1", "1", "1/2"]],
+    [],  # the box alone: every row is skipped
+    # Two tested rows, and c_0 + c_1 <= -1, the first, fails on the whole
+    # cube: no sample survives mc_volume's first stage.
+    [["1", "1", "-1"], ["2", "0", "1"]],
+]
 
-@pytest.mark.parametrize(
-    "extra",
-    [
-        [["2", "0", "1"]],  # 2c_0 <= 1: the cube does not imply it
-        [["1/3", "1", "1"]],  # positive part 4/3 > 1
-        [["1", "1", "2"]],  # c_0 + c_1 <= 2: implied
-        [["1/3", "1/3", "1"], ["1", "-1", "1"]],  # implied, with a 1/3 coefficient
-        [["2", "0", "1"], ["1", "1", "2"], ["1/3", "1", "1"], ["-1", "1", "1/2"]],
-        [],  # the box alone: every row is skipped
-    ],
-)
+
+@pytest.mark.parametrize("extra", _JSON_EXTRA_ROWS)
 def test_mc_equals_row_major_reference_on_json_rows(extra):
     P = from_json_dict({"dim": 2, "ineqs": _BOX_ROWS_2D + extra})
     for seed in (0, 1, 2):
         assert mc_volume(P, 20_000, seed) == _mc_volume_row_major(P, 20_000, seed)
+
+
+def _slicing_cases():
+    graphs = [THETA, DUMBBELL, *generate_genus_graphs(3), *generate_genus_graphs(4)[::16]]
+    yield from (build_polytope(G) for G in graphs)
+    yield from (from_json_dict({"dim": 2, "ineqs": _BOX_ROWS_2D + e}) for e in _JSON_EXTRA_ROWS)
+    yield _box(3)  # no tested row: every sample hits
+    yield _simplex(3)  # one tested row: the second stage is empty
+
+
+@pytest.mark.parametrize("cells, samples", [(1, 2_000), (2**30, 40_000)])
+def test_mc_slices_leave_estimates_alone(cells, samples, monkeypatch):
+    # One sample per slice, then every sample in one slice; by default the
+    # genus-4 classes take 40,000 samples in two or three full slices and a
+    # partial one.
+    cases = list(_slicing_cases())
+    default = [mc_volume(P, samples, 11) for P in cases]
+    monkeypatch.setattr(polytope, "_MC_CELLS", cells)
+    assert [mc_volume(P, samples, 11) for P in cases] == default
+
+
+@pytest.mark.parametrize("V", [18, 38])  # the genus-10 and genus-20 necklaces
+def test_mc_memory_is_bounded_by_the_cell_budget(V):
+    P = build_polytope(graph._necklace_graph(V))
+    P.integer_rows  # cached before tracing, so the peak is mc_volume's own
+    tracemalloc.start()
+    try:
+        mc_volume(P, 200_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each of a slice's four float64 arrays, its samples, the first-stage
+    # values, the survivors and the second-stage values, holds at most
+    # _MC_CELLS cells: 8 MB in all at the default budget.
+    assert peak < 4 * 8 * polytope._MC_CELLS
 
 
 def test_integer_rows_scale_each_row_and_are_cached():

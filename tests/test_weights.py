@@ -1,5 +1,6 @@
 """Tests for admissible weights: validity, enumeration, and fast counting."""
 
+import random
 import sys
 from itertools import product
 from math import prod
@@ -696,6 +697,54 @@ def test_vertex_blocks_are_read_only_and_shared_within_a_level():
             with pytest.raises(ValueError, match="read-only"):
                 block[(0,) * width] = 5.0
     assert weights._vertex_blocks(3, 7) is weights._vertex_blocks(3, 7)
+
+
+def _greedy_steps_all_pairs(edges):
+    """Reference: scan every live pair at every merge for the least
+    (open edges left, position, position) among pairs sharing an edge."""
+    sets = [set(e) for e in edges]
+    live = list(range(len(edges)))
+    steps = []
+    while len(live) > 1:
+        _, i, j = min(
+            (len(sets[live[i]] ^ sets[live[j]]), i, j)
+            for i in range(len(live))
+            for j in range(i + 1, len(live))
+            if sets[live[i]] & sets[live[j]]
+        )
+        a, b = live[i], live[j]
+        steps.append((a, b))
+        live = [s for s in live if s not in (a, b)] + [len(sets)]
+        sets.append(sets[a] ^ sets[b])
+    return steps, sets
+
+
+def _walk_graph(g: int, seed: int) -> TrinionGraph:
+    rng = random.Random(seed)
+    G = _necklace_graph(2 * g - 2)
+    for _ in range(10 * g):
+        non_loops = [i for i, (x, y) in enumerate(G.edges) if x // 3 != y // 3]
+        G = fusion_move(G, rng.choice(non_loops), rng.randrange(2))
+    return G
+
+
+def _open_edges(G: TrinionGraph) -> list[tuple[int, ...]]:
+    return [tuple(e for e in sorted(set(t)) if t.count(e) == 1) for t in G.vertex_edge_triples()]
+
+
+def test_greedy_steps_equal_an_all_pairs_scan():
+    graphs = [G for g in (2, 3, 4) for G in generate_genus_graphs(g)]
+    graphs += [_necklace_graph(n) for n in (8, 18, 58)]
+    graphs += [_walk_graph(g, seed) for g in (6, 15) for seed in (0, 2)]
+    for G in graphs:
+        edges = _open_edges(G)
+        assert weights._greedy_steps(edges) == _greedy_steps_all_pairs(edges), G.pairing
+
+
+def test_greedy_steps_scale_to_the_genus_four_hundred_necklace():
+    steps, sets = weights._greedy_steps(_open_edges(_necklace_graph(798)))
+    assert len(steps) == 797 and sets[-1] == set()
+    assert sorted(s for step in steps for s in step) == list(range(len(sets) - 1))
 
 
 def test_plans_copy_no_operand_through_genus_four():
