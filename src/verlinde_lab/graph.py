@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 #: canonical_form is exact brute-force minimization; cap the search size.
 MAX_CANONICAL_VERTICES = 12
 
@@ -30,6 +32,9 @@ MAX_CANONICAL_VERTICES = 12
 MIN_GENUS, MAX_GENUS = 2, 5
 
 GRAPH_FILE_SUFFIX = ".trinion.json"
+
+#: sliced_frontier expands each frontier in slices of at most this many cells.
+_FRONTIER_CHUNK = 65536
 
 
 @dataclass(frozen=True, order=True)
@@ -155,7 +160,7 @@ def connected_edge_order(G: TrinionGraph) -> list[int]:
     vertex is dequeued, so every edge after the first shares an endpoint with
     an earlier one and vertex conditions complete early in the order.  Both
     counting routes that label edges one at a time (the brute-force search
-    and the lattice-point frontier) use it.
+    and the lattice-point frontier) use it, each on ``sliced_frontier``.
     """
     triples = G.vertex_edge_triples()
     edges = G.edges
@@ -178,23 +183,66 @@ def connected_edge_order(G: TrinionGraph) -> list[int]:
     return order
 
 
-def can_recurse(frames: int) -> bool:
-    """Whether the caller can still call ``frames`` nested Python frames.
+def extend_prefixes(labels: np.ndarray, lo: np.ndarray, cnt: np.ndarray, step: int) -> np.ndarray:
+    """Each prefix column repeated once per label of its progression, that label appended.
 
-    The lattice-point count recurses one frame per edge of
-    ``connected_edge_order``; it asks this before it starts.  It is measured by
-    nesting that many calls, since the C calls between Python frames count
-    against ``sys.getrecursionlimit()`` on some Python versions, unseen by
-    the frame stack.
+    Prefix i admits the ``cnt[i]`` labels ``lo[i] + step * r`` for r below
+    ``cnt[i]``; the result holds one column per (prefix, label) pair, in
+    prefix order.
+    """
+    child = np.empty((labels.shape[0] + 1, int(cnt.sum())), dtype=np.int64)
+    child[:-1] = labels.repeat(cnt, axis=1)
+    # Label r of a prefix is lo + step * r, r its rank among the prefix's labels.
+    child[-1] = (lo - step * (np.cumsum(cnt) - cnt)).repeat(cnt)
+    child[-1] += step * np.arange(child.shape[1])
+    return child
+
+
+def sliced_frontier(root: np.ndarray, carried: np.ndarray, admit, cells) -> None:
+    """Depth-first search over int64 frontiers that label one edge per depth.
+
+    A frontier holds the prefixes of one depth t as the columns of a t-row
+    array, with a per-prefix array the route carries beside them.
+    ``admit(t, labels, carried)`` returns, per prefix, the arithmetic
+    progression of labels that its next edge admits, as (lo, step, cnt,
+    carry), or None when t is the last depth, which the route closes itself.
+    Each prefix is then repeated once per admitted label (``extend_prefixes``),
+    and ``carry(at, cnt[at], last)`` gives the children of the prefixes
+    ``at`` their carried array, ``last`` being the children's new labels.
+
+    Frontiers are expanded in slices, driven from an explicit stack of one
+    slice generator per depth, so no depth costs a Python frame.  A prefix
+    entering depth t costs ``cells[t]`` cells, and a slice holds at most
+    ``_FRONTIER_CHUNK`` cells, except that it takes at least one parent's
+    children.  Which prefixes are visited does not depend on the slicing,
+    only how they are grouped into the frontiers the route sees.
     """
 
-    def nest(n: int) -> bool:
-        return n <= 1 or nest(n - 1)
+    def children(t: int, labels: np.ndarray, carried: np.ndarray):
+        plan = admit(t, labels, carried)
+        if plan is None:
+            return
+        lo, step, cnt, carry = plan
+        ends = np.cumsum(cnt)
+        budget = max(_FRONTIER_CHUNK // cells[t + 1], 1)
+        start = 0
+        while start < len(cnt):
+            done = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, done + budget, side="right")), start + 1)
+            at = slice(start, stop)
+            n = cnt[at]
+            child = extend_prefixes(labels[:, at], lo[at], n, step)
+            if child.size:
+                yield child, carry(at, n, child[-1])
+            start = stop
 
-    try:
-        return nest(frames - 1)
-    except RecursionError:
-        return False
+    stack = [children(0, root, carried)]
+    while stack:
+        frontier = next(stack[-1], None)
+        if frontier is None:
+            stack.pop()
+        else:
+            stack.append(children(len(stack), *frontier))
 
 
 def _canonical_key(loops: list[int], mult: list[list[int]], V: int) -> tuple[int, ...]:

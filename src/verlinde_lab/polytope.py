@@ -18,8 +18,8 @@ box and row bounds.  At each coordinate the admitted labels of a partial
 point form an interval, cut to one parity class by the vertices that
 complete there, so the next frontier is a repeat of arithmetic progressions
 and the last coordinate is summed per level in closed form.  Frontiers are
-expanded depth-first in bounded slices, in int64 under a checked magnitude
-bound per level.
+expanded by ``graph.sliced_frontier``, which the brute-force route shares,
+in int64 under a checked magnitude bound per level.
 The parity condition thins the full (1/k)-lattice by 2^r, r = V - 1 the GF(2)
 rank of the parity system, so the counts grow as volume / 2^r times k^dim,
 with the volume in closed form (``moment_volume``); ``asymptotic_table``
@@ -29,7 +29,6 @@ also equal the Verlinde polynomial's.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +38,7 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from verlinde_lab.fusion import bernoulli_numbers
-from verlinde_lab.graph import TrinionGraph, can_recurse, connected_edge_order
+from verlinde_lab.graph import TrinionGraph, connected_edge_order, sliced_frontier
 from verlinde_lab.weights import count_via_contraction
 
 #: exact_volume is a recursive boundary integration; cap the dimension.
@@ -50,11 +49,6 @@ MIN_MC_SAMPLES = 10**3
 #: mc_volume draws and tests its samples in slices of at most this many
 #: cells: a sample's coordinates and its values on the first-stage rows.
 _MC_CELLS = 2**18
-
-#: lattice_counts expands each frontier in slices of at most this many cells:
-#: a partial point's labels, and the bounds and products of the rows read at
-#: its next coordinate.
-_LATTICE_CHUNK = 65536
 
 #: lattice_counts works in int64; integer rows must stay below this magnitude.
 _LATTICE_INT_LIMIT = 2**62
@@ -391,19 +385,14 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     labels a partial point admits form an interval, read from the rows with
     a nonzero coefficient at t and the least the later coordinates can add
     to each row within their boxes at the point's level; the vertices
-    completing at t cut it to one parity class.  The next frontier repeats
-    each partial point once per admitted label, and the last coordinate is
-    counted per level, not materialised.
-
-    Frontiers are expanded depth-first in slices.  A child point costs its
+    completing at t cut it to one parity class.  ``graph.sliced_frontier``
+    repeats each partial point once per admitted label, a point costing its
     labels plus two cells per row read at its next coordinate, where that
     row's bound is gathered for the point's level and its product with the
-    labels formed; a slice holds at most ``_LATTICE_CHUNK`` such cells, so
-    memory stays bounded at any level and genus.  Arithmetic is int64, and
-    the closing sums are exact past 2^63; a level whose rows' magnitude
-    could reach 2^62 raises ValueError, naming the level, before counting,
-    and so does an edge count whose recursion, one frame per coordinate,
-    would pass Python's recursion limit.  Levels may repeat and come in any
+    labels formed; the last coordinate is counted per level, not
+    materialised.  Arithmetic is int64, and the closing sums are exact past
+    2^63; a level whose rows' magnitude could reach 2^62 raises ValueError,
+    naming the level, before counting.  Levels may repeat and come in any
     order; each must be at least 1.
     """
     levels = list(levels)
@@ -412,13 +401,6 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     d = P.dim
     if d != G.edge_count:
         raise ValueError("polytope dimension does not match the graph's edge count")
-    # expand() once per coordinate, then admitted() and numpy's frames under it.
-    if not can_recurse(d + 4):
-        raise ValueError(
-            f"lattice_counts recurses once per coordinate: E = {d} edges need "
-            f"{d + 5} nested frames, its own among them, more than the recursion "
-            f"limit {sys.getrecursionlimit()} leaves"
-        )
     ks = sorted(set(levels))
     if not ks:
         return []
@@ -490,7 +472,7 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     totals = [0] * len(ks)
 
     def admitted(t: int, labels, lev):
-        """First admitted label, step and count at position t per partial point."""
+        """Each point's admitted labels at position t; at the last, counted per level."""
         read, A_read, bound, up, coef = plan[t]
         # np.take keeps the gathered arrays C-ordered, as fancy indexing
         # along the second axis does not.
@@ -507,47 +489,27 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
         if odd[t] or even[t]:
             ok = np.ones(len(lev), dtype=bool)
             for rest in even[t]:
-                ok &= labels[rest].sum(axis=0) % 2 == 0
-            parity = [labels[rest].sum(axis=0) % 2 for rest in odd[t]]
+                ok &= (labels[rest].sum(axis=0) & 1) == 0
+            parity = [labels[rest].sum(axis=0) & 1 for rest in odd[t]]
             for p in parity[1:]:
                 ok &= p == parity[0]
             if parity:
-                lo = lo + (lo + parity[0]) % 2
+                lo = lo + ((lo + parity[0]) & 1)
                 step = 2
             hi = np.where(ok, hi, lo - 1)
         cnt = np.maximum(hi - lo, -step) // step + 1
-        return lo, step, cnt
+        if t < d - 1:
+            return lo, step, cnt, lambda at, n, last: lev[at].repeat(n)
+        # Summed per level as two 31-bit halves, each exact in int64 for any
+        # slice of fewer than 2^32 points.
+        for shift, half in ((31, cnt >> 31), (0, cnt & (2**31 - 1))):
+            sums = np.zeros(len(ks), dtype=np.int64)
+            np.add.at(sums, lev, half)
+            for i, s in enumerate(sums.tolist()):
+                totals[i] += s << shift
+        return None
 
-    def expand(t: int, labels, lev):
-        lo, step, cnt = admitted(t, labels, lev)
-        if t == d - 1:
-            # Summed per level as two 31-bit halves, each exact in int64
-            # for any slice of fewer than 2^32 points.
-            for shift, half in ((31, cnt >> 31), (0, cnt & (2**31 - 1))):
-                sums = np.zeros(len(ks), dtype=np.int64)
-                np.add.at(sums, lev, half)
-                for i, s in enumerate(sums.tolist()):
-                    totals[i] += s << shift
-            return
-        ends = np.cumsum(cnt)
-        budget = max(_LATTICE_CHUNK // cells[t + 1], 1)
-        start = 0
-        while start < len(cnt):
-            base = ends[start - 1] if start else 0
-            stop = int(np.searchsorted(ends, base + budget, side="right"))
-            stop = max(stop, start + 1)
-            c = cnt[start:stop]
-            parent = np.repeat(np.arange(start, stop), c)
-            if parent.size:
-                # Rank of each child among its parent's admitted labels.
-                offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
-                child = np.empty((t + 1, parent.size), dtype=np.int64)
-                child[:t] = labels.take(parent, axis=1)
-                child[t] = lo[parent] + step * offset
-                expand(t + 1, child, lev[parent])
-            start = stop
-
-    expand(0, np.zeros((0, len(ks)), dtype=np.int64), np.arange(len(ks)))
+    sliced_frontier(np.zeros((0, len(ks)), dtype=np.int64), np.arange(len(ks)), admitted, cells)
     index = {k: i for i, k in enumerate(ks)}
     return [totals[index[k]] for k in levels]
 

@@ -25,9 +25,8 @@ completing there form one arithmetic progression (conditions (1)-(3) solved
 for that edge), so no label is tried that fails a vertex closing there, and
 the last edge's progression is counted by its length, not listed.  The
 search runs on numpy frontiers, every prefix of a depth that it holds at
-once as one int64 column, expanded depth-first in slices of at most 65536
-cells from an explicit stack: memory stays bounded, and no depth costs a
-Python frame, so any edge count is searched.
+once as one int64 column, expanded by ``graph.sliced_frontier``, which the
+lattice route shares.
 bruteforce_counts runs that one search at the highest level the state
 budget admits and counts every lower level on the way: a labeling admitted
 there is admitted at level m exactly when each vertex sum is at most 2m.
@@ -58,14 +57,10 @@ from math import prod
 
 import numpy as np
 
-from verlinde_lab.graph import TrinionGraph, connected_edge_order
+from verlinde_lab.graph import TrinionGraph, connected_edge_order, extend_prefixes, sliced_frontier
 
 #: Enumeration refuses when the raw label space (k+1)^E exceeds this.
 DEFAULT_MAX_STATES = 10**7
-
-#: The brute-force search expands its frontier in slices of at most this many
-#: cells, a prefix's labels being its cells; the bound lattice_counts uses.
-_SEARCH_CHUNK = 65536
 
 #: Contraction refuses when any tensor frontier needs more than this many stored cells.
 DEFAULT_MAX_FRONTIER = 10**7
@@ -185,17 +180,10 @@ def _dfs_admissible(
     A loop edge meets its own vertex alone, so a depth has either plain
     completions or one loop completion, and one step for every prefix.  A
     vertex with two labels set and one to come needs no test: any x and y
-    in [0, k] admit the third label |x - y|.  The next frontier repeats
-    each prefix once per label of its progression; the last depth's
-    progressions are counted, not materialised, unless ``collect`` lists
-    them.
-
-    Frontiers are expanded depth-first in slices, driven from an explicit
-    stack of one slice generator per depth, so no depth costs a Python
-    frame.  A slice holds at most ``_SEARCH_CHUNK`` cells, a prefix's cells
-    being its labels, except that it takes at least one parent's children,
-    at most k + 1.  Which prefixes are visited does not depend on the
-    slicing, so neither do the counts and counters.
+    in [0, k] admit the third label |x - y|.  ``graph.sliced_frontier``
+    repeats each prefix once per label of its progression, a prefix's cells
+    being its labels; the last depth's progressions are counted, not
+    materialised, unless ``collect`` lists them.
 
     The one search at level k counts every level from ``floor`` to k.  A
     labeling admissible at level k is admissible at a level m <= k exactly
@@ -266,17 +254,8 @@ def _dfs_admissible(
         hi[((s & 1) != parity).any(axis=0)] = -1
         return lo, np.maximum(hi - lo, -2) // 2 + 1, s.max(axis=0), 2, 1
 
-    def extend(labels: np.ndarray, lo: np.ndarray, cnt: np.ndarray, step: int) -> np.ndarray:
-        """Each prefix repeated once per label of its progression, that label appended."""
-        child = np.empty((labels.shape[0] + 1, int(cnt.sum())), dtype=np.int64)
-        child[:-1] = labels.repeat(cnt, axis=1)
-        # Label j of a prefix is lo + step * (its rank among the prefix's labels).
-        child[-1] = (lo - step * (np.cumsum(cnt) - cnt)).repeat(cnt)
-        child[-1] += step * np.arange(child.shape[1])
-        return child
-
-    def children(t: int, labels: np.ndarray, mx: np.ndarray):
-        """Count the frontier at depth t and yield its children in slices."""
+    def admit(t: int, labels: np.ndarray, mx: np.ndarray):
+        """Count the frontier at depth t; below the last depth, its progressions."""
         nonlocal nodes, pruned
         lo, cnt, base, step, slope = progressions(t, labels)
         pruned += int(np.count_nonzero(cnt == 0))
@@ -296,30 +275,17 @@ def _dfs_admissible(
                 for m, value in enumerate(add):
                     row[m] += value
             if collect:
-                found.append(extend(labels, lo, cnt, step))
-            return
+                found.append(extend_prefixes(labels, lo, cnt, step))
+            return None
         nodes += int(cnt.sum())
-        ends = np.cumsum(cnt)
-        # A child holds t + 1 labels.
-        budget = max(_SEARCH_CHUNK // (t + 1), 1)
-        start = 0
-        while start < len(cnt):
-            done = ends[start - 1] if start else 0
-            stop = max(int(np.searchsorted(ends, done + budget, side="right")), start + 1)
-            at = slice(start, stop)
-            n = cnt[at]
-            child = extend(labels[:, at], lo[at], n, step)
-            if child.size:
-                yield child, np.maximum(mx[at].repeat(n), base[at].repeat(n) + slope * child[-1])
-            start = stop
 
-    stack = [children(0, np.zeros((0, 1), dtype=np.int64), np.array([2 * floor]))]
-    while stack:
-        frontier = next(stack[-1], None)
-        if frontier is None:
-            stack.pop()
-        else:
-            stack.append(children(len(stack), *frontier))
+        def carry(at: slice, n: np.ndarray, last: np.ndarray) -> np.ndarray:
+            return np.maximum(mx[at].repeat(n), base[at].repeat(n) + slope * last)
+
+        return lo, step, cnt, carry
+
+    # A prefix entering depth t holds t labels.
+    sliced_frontier(np.zeros((0, 1), dtype=np.int64), np.array([2 * floor]), admit, range(E))
 
     if stats is not None:
         stats["nodes"] = nodes

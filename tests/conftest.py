@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import pytest
 
 from verlinde_lab import fusion
@@ -12,3 +14,31 @@ def fresh_verlinde_cache():
     fusion.verlinde_polynomial.cache_clear()
     yield
     fusion.verlinde_polynomial.cache_clear()
+
+
+@pytest.fixture
+def frames_left():
+    """A probe of how many nested frames the calling test's callees can still call.
+
+    It nests that many calls, since the C calls between Python frames count
+    against ``sys.getrecursionlimit()`` on some Python versions, unseen by
+    the frame stack.
+    """
+
+    def nest(n: int) -> bool:
+        return n <= 1 or nest(n - 1)
+
+    def fits(frames: int) -> bool:
+        try:
+            return nest(frames - 1)
+        except RecursionError:
+            return False
+
+    def probe() -> int:
+        lo, hi = 1, sys.getrecursionlimit()
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+        return lo
+
+    return probe

@@ -518,26 +518,17 @@ def test_lattice_count_requires_positive_level():
         lattice_count(build_polytope(THETA), THETA, 0)
 
 
-def test_lattice_count_recursion_limit():
-    # expand() recurses once per coordinate; with admitted() and numpy's
-    # frames beneath it lattice_count needs d + 5 nested frames.  One fewer
-    # raises ValueError before recursing, never RecursionError.
+def test_lattice_count_recursion_limit(frames_left):
+    # The lattice route runs on sliced_frontier's explicit stack, not one
+    # frame per coordinate, so a recursion limit that leaves fewer than
+    # E + 2 frames below lattice_count does not stop it.
     G = graph._necklace_graph(10)  # genus 6, E = 15
     P = build_polytope(G)
-    P.integer_rows  # computed once, at full depth
-    expected = verlinde_dim(6, 2)
     limit = sys.getrecursionlimit()
-    lo, hi = 1, limit  # frames this test's callees can nest now
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if graph.can_recurse(mid) else (lo, mid - 1)
     try:
-        # lattice_count takes one of them.
-        sys.setrecursionlimit(limit - lo + G.edge_count + 6)
-        assert lattice_count(P, G, 2) == expected
-        sys.setrecursionlimit(limit - lo + G.edge_count + 5)
-        with pytest.raises(ValueError, match="E = 15 edges need 20 nested"):
-            lattice_count(P, G, 2)
+        # lattice_count and lattice_counts take two of them.
+        sys.setrecursionlimit(limit - frames_left() + G.edge_count + 3)
+        assert lattice_count(P, G, 2) == verlinde_dim(6, 2)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -558,7 +549,7 @@ def test_lattice_count_sliced_frontier(monkeypatch):
         for k in range(1, 7)
     ]
     expected = [lattice_count(P, G, k) for G, P, k in cases]
-    monkeypatch.setattr(polytope, "_LATTICE_CHUNK", 1)
+    monkeypatch.setattr(graph, "_FRONTIER_CHUNK", 1)
     assert [lattice_count(P, G, k) for G, P, k in cases] == expected
 
 
@@ -722,7 +713,7 @@ def test_lattice_counts_int64_guard_names_the_level():
 def test_lattice_counts_sliced_frontier(monkeypatch):
     cases = [(G, build_polytope(G)) for g in (2, 3) for G in generate_genus_graphs(g)]
     expected = [lattice_counts(P, G, range(1, 7)) for G, P in cases]
-    monkeypatch.setattr(polytope, "_LATTICE_CHUNK", 1)
+    monkeypatch.setattr(graph, "_FRONTIER_CHUNK", 1)
     assert [lattice_counts(P, G, range(1, 7)) for G, P in cases] == expected
 
 

@@ -8,12 +8,11 @@ from math import prod
 import numpy as np
 import pytest
 
-from verlinde_lab import weights
+from verlinde_lab import graph, weights
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
     TrinionGraph,
     _necklace_graph,
-    can_recurse,
     connected_edge_order,
     dumbbell_graph,
     fusion_move,
@@ -168,16 +167,7 @@ def test_work_bound():
         enumerate_admissible(THETA, 1000, max_states=10**6)
 
 
-def _frames_left() -> int:
-    """How many nested frames this test's callees can still call."""
-    lo, hi = 1, sys.getrecursionlimit()
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if can_recurse(mid) else (lo, mid - 1)
-    return lo
-
-
-def test_work_bound_recursion_limit():
+def test_work_bound_recursion_limit(frames_left):
     # The search keeps one slice generator per depth on an explicit stack,
     # not one frame per edge, so a recursion limit that leaves fewer than
     # E + 2 frames below _dfs_admissible does not stop it.
@@ -185,7 +175,7 @@ def test_work_bound_recursion_limit():
     limit = sys.getrecursionlimit()
     try:
         # count_admissible_bruteforce and _dfs_admissible take two of them.
-        sys.setrecursionlimit(limit - _frames_left() + G.edge_count + 3)
+        sys.setrecursionlimit(limit - frames_left() + G.edge_count + 3)
         assert count_admissible_bruteforce(G, 1) == verlinde_dim(6, 1)
     finally:
         sys.setrecursionlimit(limit)
@@ -351,17 +341,17 @@ def test_search_slices_leave_counts_counters_and_labelings_alone(k, monkeypatch)
         return out
 
     whole = search()
-    monkeypatch.setattr(weights, "_SEARCH_CHUNK", 2)
+    monkeypatch.setattr(graph, "_FRONTIER_CHUNK", 2)
     assert search() == whole
 
 
-def test_bruteforce_counts_recursion_limit():
+def test_bruteforce_counts_recursion_limit(frames_left):
     # As for count_admissible_bruteforce: fewer than E + 2 frames below
     # _dfs_admissible, and bruteforce_counts and _dfs_admissible take two.
     G = _necklace_graph(10)  # genus 6, E = 15
     limit = sys.getrecursionlimit()
     try:
-        sys.setrecursionlimit(limit - _frames_left() + G.edge_count + 3)
+        sys.setrecursionlimit(limit - frames_left() + G.edge_count + 3)
         assert bruteforce_counts(G, [0, 1]) == {0: 1, 1: verlinde_dim(6, 1)}
     finally:
         sys.setrecursionlimit(limit)
