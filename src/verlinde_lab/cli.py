@@ -235,8 +235,9 @@ def cmd_polytope(args) -> RunReport:
         report.inputs["seed"] = args.seed
         for ident, G in pairs:
             P = polytope.build_polytope(G)
-            estimate, stderr = polytope.mc_volume(P, args.samples, args.seed)
-            entry = {"graph": ident, "estimate": estimate, "stderr": stderr}
+            stats = {}
+            estimate, stderr = polytope.mc_volume(P, args.samples, args.seed, stats)
+            entry = {"graph": ident, "estimate": estimate, "stderr": stderr, **stats}
             if P.dim <= polytope.MAX_EXACT_DIMENSION:
                 exact = polytope.exact_volume(P)
                 entry["exact"] = str(exact)

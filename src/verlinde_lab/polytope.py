@@ -6,7 +6,9 @@ loops doubled -- contributes the three triangle inequalities c_x <= c_y + c_z
 and the cap c_a + c_b + c_c <= 2; together with the box constraints this is
 the full H-representation.  Everything except Monte Carlo sampling is exact:
 ``exact_volume`` integrates over facets on primitive integer rows, pruning
-the faces that opposite rows pin into a slab of zero width.
+the faces that opposite rows pin into a slab of zero width.  ``mc_volume``
+draws a sample's coordinates vertex by vertex, in stages, and only while the
+sample is still inside, so a sample costs about four uniforms at any genus.
 
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity
@@ -29,6 +31,7 @@ also equal the Verlinde polynomial's.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -46,8 +49,9 @@ MAX_EXACT_DIMENSION = 6
 
 MIN_MC_SAMPLES = 10**3
 
-#: mc_volume draws and tests its samples in slices of at most this many
-#: cells: a sample's coordinates and its values on the first-stage rows.
+#: mc_volume draws and tests its samples in slices; each array a slice holds,
+#: its drawn coordinates or its row values by samples, has at most this many
+#: cells.
 _MC_CELLS = 2**18
 
 #: lattice_counts works in int64; integer rows must stay below this magnitude.
@@ -298,48 +302,90 @@ def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fractio
 
 
 def mc_volume(
-    P: ClebschGordanPolytope, samples: int, rng_seed: int
+    P: ClebschGordanPolytope, samples: int, rng_seed: int, stats: dict | None = None
 ) -> tuple[float, float]:
     """Hit-or-miss volume estimate over [0,1)^dim with binomial standard error.
 
     A sample x is a hit when a . x <= b on every row, evaluated in float.
-    Only the rows the sampling cube does not imply are tested: a row whose
-    positive coefficients sum to at most b holds at every point of [0,1)^dim,
-    so skipping it changes no hit.  The test is made exactly, on the integer
-    rows; for a moment polytope it drops the box rows.  A polytope with no
-    row left (the unit box) estimates 1.0.
+    Only the cut rows, those the sampling cube does not imply, are tested: a
+    row whose positive coefficients sum to at most b holds at every point of
+    [0,1)^dim, so skipping it changes no hit.  The test is made exactly, on
+    the integer rows; for a moment polytope it drops the box rows.  A
+    polytope with no cut row (the unit box) estimates 1.0, and one with a
+    cut row that reads no coordinate (0 <= b < 0) estimates 0.0.
 
-    Samples are drawn in slices of at most ``_MC_CELLS`` cells, a sample
-    costing its dim coordinates and one value per first-stage row; the
-    generator yields the same stream however its draws are sliced.  Each
-    slice is tested in two stages.  The first is the first half of the r
-    tested rows, rounded up and in row order (whole vertices first for a
-    moment polytope), as one rows-by-samples matrix product over the slice.
-    The second runs the other rows only on the samples that survived,
-    gathered with ``take``; with one row or none it is empty and passes
-    every survivor.  A sample hits when every row holds, whatever order the
-    rows are tested in, so neither the slices nor the split change a hit.
+    A sample's coordinates are drawn stage by stage, and only while it is
+    still inside.  Taking the cut rows in row order, each one that reads
+    undrawn coordinates opens a stage, which draws those coordinates in
+    ascending index order; each cut row is tested at the stage that draws
+    its last coordinate.  For a moment polytope a stage opens at each vertex
+    that brings new edges, and most samples leave at the first vertex, so a
+    sample costs about four uniforms at any genus rather than dim.  Stage s
+    of S draws ``rng.random((m, c))`` for its m surviving samples, in sample
+    order, from ``np.random.default_rng(rng_seed).spawn(S)[s]``.  Each
+    generator yields the same stream however its draws are sliced, so the
+    samples are taken in slices, and each array a slice holds, its drawn
+    coordinates by samples or its row values by samples, has at most
+    ``_MC_CELLS`` cells.  A sample hits when every row holds, whatever
+    order the rows are tested in, so neither the slices nor the stages
+    change a hit; the estimate is Binomial(samples, volume) / samples.
+
+    A ``stats`` dict, if given, receives ``draws``, the uniforms drawn, and
+    ``stages``, the number of stages.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     cut = [
-        (a, b)
+        (a, b, [e for e, c in enumerate(ia) if c])
         for (a, b), (ia, ib) in zip(P.ineqs, P.integer_rows)
         if sum(c for c in ia if c > 0) > ib
     ]
-    A = np.array([[float(c) for c in a] for a, _ in cut], dtype=float).reshape(len(cut), P.dim)
-    b = np.array([float(bb) for _, bb in cut], dtype=float)[:, None]
-    half = (len(cut) + 1) // 2
-    first, first_b, second, second_b = A[:half], b[:half], A[half:], b[half:]
-    per_slice = max(1, _MC_CELLS // max(1, P.dim + half))
-    rng = np.random.default_rng(rng_seed)
-    hits = 0
+    if not all(support for *_, support in cut):
+        # A cut row that reads no coordinate, 0 <= b < 0, fails everywhere.
+        if stats is not None:
+            stats.update(draws=0, stages=0)
+        return 0.0, 0.0
+    pos: dict[int, int] = {}  # coordinate -> its place in draw order
+    ends: list[int] = []  # per stage, the coordinates drawn through it
+    tested: list[list] = []  # per stage, the rows it tests
+    for a, b, support in cut:
+        if any(e not in pos for e in support):
+            for e in support:
+                pos.setdefault(e, len(pos))
+            ends.append(len(pos))
+            tested.append([])
+        # The row is tested at the stage that draws its last coordinate.
+        tested[bisect_right(ends, max(pos[e] for e in support))].append((a, b, support))
+    # Per stage: how many coordinates it draws, and its rows over every
+    # coordinate drawn through it, in draw order, as A and b in A @ x <= b.
+    plan = []
+    for start, end, rows in zip([0, *ends], ends, tested):
+        A = np.zeros((len(rows), end))
+        for i, (a, _, support) in enumerate(rows):
+            A[i, [pos[e] for e in support]] = [float(a[e]) for e in support]
+        plan.append((end - start, A, np.array([[float(b)] for _, b, _ in rows])))
+    per_slice = max(1, _MC_CELLS // max([1, len(pos), *map(len, tested)]))
+    gens = np.random.default_rng(rng_seed).spawn(len(plan))
+    hits = draws = 0
     for start in range(0, samples, per_slice):
-        x = rng.random((min(per_slice, samples - start), P.dim))
-        # Rows by samples: all(axis=0) ANDs whole rows of samples at once;
-        # reducing one short row per sample cost more than the matmul.
-        kept = x.take(np.flatnonzero((first @ x.T <= first_b).all(axis=0)), axis=0)
-        hits += int(np.count_nonzero((second @ kept.T <= second_b).all(axis=0)))
+        # x holds the drawn coordinates, by samples, of the m samples that
+        # entered the last stage, and keep the columns of its survivors.
+        # Rows by samples, all(axis=0) ANDs whole rows of samples at once.
+        m = min(per_slice, samples - start)
+        x = keep = None
+        for gen, (c, A, b) in zip(gens, plan):
+            y = np.empty((A.shape[1], m))
+            if keep is not None:
+                x.take(keep, axis=1, out=y[:-c], mode="clip")
+            y[-c:] = gen.random((m, c)).T
+            draws += c * m
+            x, keep = y, np.flatnonzero((A @ y <= b).all(axis=0))
+            m = len(keep)
+            if not m:
+                break
+        hits += m
+    if stats is not None:
+        stats.update(draws=draws, stages=len(plan))
     estimate = hits / samples
     stderr = (estimate * (1.0 - estimate) / samples) ** 0.5
     return estimate, stderr

@@ -514,6 +514,18 @@ def test_polytope_volume_mc_reproducible(capsys):
     assert all(c["passed"] for c in r1["checks"])
 
 
+def test_polytope_volume_mc_reports_draws_and_stages(capsys):
+    code, report, _ = run_json(
+        capsys, "polytope", "--genus", "2", "--mode", "volume-mc", "--samples", "20000"
+    )
+    assert code == 0
+    theta, dumbbell = report["outputs"]["estimates"]
+    # Every cut row of theta reads all three edges: one stage draws them all.
+    assert (theta["draws"], theta["stages"]) == (3 * 20_000, 1)
+    # The dumbbell's second vertex draws its loop only for the survivors.
+    assert dumbbell["stages"] == 2 and 2 * 20_000 < dumbbell["draws"] < 3 * 20_000
+
+
 def test_polytope_volume_mc_rejects_a_negative_seed(capsys):
     code, out, err = run_cli(
         capsys, "polytope", "--genus", "2", "--mode", "volume-mc", "--seed", "-1"

@@ -368,32 +368,41 @@ def test_mc_sample_floor():
         mc_volume(_box(2), 999, 0)
 
 
-#: The reference draws its samples in chunks of its own size, so that it
-#: slices the stream differently from the code it checks.
-_REFERENCE_CHUNK = 65536
-
-
 def _mc_volume_row_major(P, samples, rng_seed):
-    """Reference: every row tested, one sample per row of x @ A.T."""
-    A = np.array([[float(c) for c in a] for a, _ in P.ineqs], dtype=float)
+    """Reference: each stage drawn for all its samples at once, with no slicing.
+
+    Stages are opened as ``mc_volume`` documents: in row order, each row the
+    unit cube does not imply draws the coordinates it reads that are still
+    undrawn, from the stage's spawned generator.  After each draw, and once
+    before any, every row of P whose support is drawn is tested, box and
+    implied rows included, one sample per row of x @ A.T.
+    """
+    stages, seen = [], set()
+    for a, b in P.ineqs:
+        support = {e for e, c in enumerate(a) if c}
+        if sum(c for c in a if c > 0) > b and support - seen:
+            stages.append(sorted(support - seen))
+            seen |= support
+    A = np.array([[float(c) for c in a] for a, _ in P.ineqs], dtype=float).reshape(-1, P.dim)
     b = np.array([float(bb) for _, bb in P.ineqs], dtype=float)
-    rng = np.random.default_rng(rng_seed)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(_REFERENCE_CHUNK, remaining)
-        x = rng.random((n, P.dim))
-        hits += int((x @ A.T <= b).all(axis=1).sum())
-        remaining -= n
-    estimate = hits / samples
+    gens = np.random.default_rng(rng_seed).spawn(len(stages))
+    x = np.zeros((samples, P.dim))
+    alive = np.arange(samples)
+    drawn = np.zeros(P.dim, dtype=bool)
+    for gen, cols in [(None, []), *zip(gens, stages)]:
+        if cols:
+            x[np.ix_(alive, cols)] = gen.random((len(alive), len(cols)))
+            drawn[cols] = True
+        rows = ~((A != 0) & ~drawn).any(axis=1)
+        alive = alive[(x[alive] @ A[rows].T <= b[rows]).all(axis=1)]
+    estimate = len(alive) / samples
     return estimate, (estimate * (1.0 - estimate) / samples) ** 0.5
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_mc_equals_row_major_reference_on_every_class(g):
-    # A full chunk of the reference and a partial one; at genus 4, where
-    # mc_volume's slices hold 12,483 to 15,420 samples, four or five full
-    # slices and a partial one.
+    # At genus 4, where mc_volume's slices hold 16,384 to 29,127 samples,
+    # two to four full slices and a partial one.
     samples = 68_537
     for i, G in enumerate(generate_genus_graphs(g)):
         P = build_polytope(G)
@@ -455,6 +464,70 @@ def test_mc_memory_is_bounded_by_the_cell_budget(V):
     # values, the survivors and the second-stage values, holds at most
     # _MC_CELLS cells: 8 MB in all at the default budget.
     assert peak < 4 * 8 * polytope._MC_CELLS
+
+
+#: c_0 <= 99/100, then c_1 <= c_0: the second row opens a second stage that
+#: draws c_1 for the 99 % of samples the first row keeps.  Were the stages to
+#: share one stream, the i-th survivor's c_1 would be the i-th sample's c_0,
+#: which is its own c_0 until the first sample is rejected.
+_TWO_STAGES = from_json_dict(
+    {"dim": 2, "ineqs": _BOX_ROWS_2D + [["1", "0", "99/100"], ["-1", "1", "0"]]}
+)
+
+
+@pytest.mark.parametrize(
+    "P, volume",
+    [(build_polytope(THETA), 1 / 3), (_TWO_STAGES, 0.99**2 / 2)],
+    ids=["theta", "two-stages"],
+)
+def test_mc_z_scores_follow_the_binomial_law(P, volume):
+    # Over independent seeds the z-scores of Binomial(n, volume) / n have
+    # mean 0 and variance 1; over N of them the sample mean has standard
+    # error 1/sqrt(N) and the sample variance about sqrt(2/(N-1)).
+    n, seeds = 1000, 400
+    sigma = (volume * (1 - volume) / n) ** 0.5
+    z = np.array([(mc_volume(P, n, seed)[0] - volume) / sigma for seed in range(seeds)])
+    assert abs(z.mean()) <= 4 / seeds**0.5
+    assert abs(z.var(ddof=1) - 1) <= 4 * (2 / (seeds - 1)) ** 0.5
+
+
+def _mc_stats(P, samples=2_000, seed=3):
+    stats: dict = {}
+    return mc_volume(P, samples, seed, stats), stats
+
+
+def test_mc_degenerate_inputs():
+    # No coordinate and no row: the one point of [0,1)^0 is inside.
+    assert _mc_stats(from_json_dict({"dim": 0, "ineqs": []})) == (
+        (1.0, 0.0),
+        {"draws": 0, "stages": 0},
+    )
+    # A row 0 <= -1 fails everywhere, whatever else the rows say.
+    for P in (
+        from_json_dict({"dim": 0, "ineqs": [["-1"]]}),
+        from_json_dict({"dim": 2, "ineqs": [["2", "0", "1"], ["0", "0", "-1"]]}),
+    ):
+        assert _mc_stats(P) == ((0.0, 0.0), {"draws": 0, "stages": 0})
+    # The box alone tests no row, so it draws nothing.
+    assert _mc_stats(_box(3)) == ((1.0, 0.0), {"draws": 0, "stages": 0})
+    (est, se), stats = _mc_stats(_simplex(3))
+    assert stats == {"draws": 3 * 2_000, "stages": 1}
+    assert abs(est - 1 / 6) <= 4 * se
+    # A first cut row that reads every coordinate draws them all at once;
+    # the later rows then read nothing new and open no stage.
+    rows = [["1", "1", "1", "1", "2"], ["1", "-1", "0", "0", "0"], ["0", "0", "1", "1", "1"]]
+    dense = from_json_dict({"dim": 4, "ineqs": rows})
+    assert _mc_stats(dense)[1] == {"draws": 4 * 2_000, "stages": 1}
+
+
+@pytest.mark.parametrize("g", [2, 5, 10, 20])
+def test_mc_draws_per_sample_stay_flat_in_genus(g):
+    # Most samples leave the necklace polytope at its first vertex, so a
+    # sample costs about four uniforms however many coordinates it has.
+    P = build_polytope(graph._necklace_graph(2 * g - 2))
+    _, stats = _mc_stats(P, samples=50_000)
+    assert stats["stages"] == (1 if g == 2 else 2 * g - 3)
+    assert 3 * 50_000 <= stats["draws"] < 4.5 * 50_000
 
 
 def test_integer_rows_scale_each_row_and_are_cached():
