@@ -453,7 +453,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ValueError,
         OSError,
-        json.JSONDecodeError,
         ArithmeticError,
         weights.WorkBoundExceeded,
         weights.FrontierBudgetExceeded,

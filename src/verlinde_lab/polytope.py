@@ -4,11 +4,14 @@ The polytope lives in [0,1]^E with one coordinate c_e per edge (c = j/k on
 the weight lattice).  Each vertex with incident labels (c_a, c_b, c_c) --
 loops doubled -- contributes the three triangle inequalities c_x <= c_y + c_z
 and the cap c_a + c_b + c_c <= 2; together with the box constraints this is
-the full H-representation.  Everything except Monte Carlo sampling is exact:
-``exact_volume`` integrates over facets on primitive integer rows, pruning
-the faces that opposite rows pin into a slab of zero width.  ``mc_volume``
-draws a sample's coordinates vertex by vertex, in stages, and only while the
-sample is still inside, so a sample costs about four uniforms at any genus.
+the full H-representation, held as integer rows: a row given with rational
+entries is scaled by the lcm of its denominators when the polytope is made,
+so every route reads the one integer form.  Everything except Monte Carlo
+sampling is exact: ``exact_volume`` integrates over facets on primitive
+integer rows, pruning the faces that opposite rows pin into a slab of zero
+width.  ``mc_volume`` draws a sample's coordinates vertex by vertex, in
+stages, and only while the sample is still inside, so a sample costs about
+four uniforms at any genus.
 
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity
@@ -32,10 +35,8 @@ also equal the Verlinde polynomial's.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress
 from math import comb, factorial, gcd, lcm
 
 import numpy as np
@@ -60,66 +61,42 @@ _LATTICE_INT_LIMIT = 2**62
 
 @dataclass(frozen=True)
 class ClebschGordanPolytope:
-    """Rational H-representation: rows (a, b) meaning a . c <= b.
+    """H-representation on integer rows: rows (a, b) meaning a . c <= b.
 
-    ``sparse``, when given, holds the same rows by their nonzero entries:
-    per row, the (coordinate, coefficient) pairs and the bound.  It is not
-    compared; ``build_polytope`` passes the integer rows it builds, so that
-    ``integer_rows`` need not scan the dense rows for their nonzeros.
+    Rows may be given with rational entries; each such row is scaled by the
+    lcm of its denominators, so every stored entry is an ``int``, and a row
+    given in ``int`` is kept as it is.  Two polytopes whose rows differ only
+    by that scaling compare equal.
     """
 
     dim: int
-    ineqs: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    sparse: tuple | None = field(default=None, compare=False, repr=False)
+    ineqs: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        for a, b in self.ineqs:
+        rows = list(self.ineqs)
+        for i, (a, b) in enumerate(rows):
             if len(a) != self.dim:
                 raise ValueError("inequality arity does not match dimension")
-
-    @cached_property
-    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The rows (a, b), each scaled by the lcm of its denominators to integers.
-
-        Only a row's nonzero entries are scaled, read from ``sparse`` or,
-        without it, found in the dense rows; its zeros are written as 0
-        with no ``Fraction`` arithmetic.
-        """
-        rows = self.sparse
-        if rows is None:
-            edges = range(self.dim)
-            rows = [(tuple((e, a[e]) for e in compress(edges, a)), b) for a, b in self.ineqs]
-        out = []
-        for support, b in rows:
-            scale = lcm(b.denominator, *(c.denominator for _, c in support))
-            row = [0] * self.dim
-            for e, c in support:
-                row[e] = c.numerator * (scale // c.denominator)
-            out.append((tuple(row), b.numerator * (scale // b.denominator)))
-        return tuple(out)
+            # A row of ints sums to an int; any Fraction entry makes it a Fraction.
+            if type(sum(a, b)) is not int:
+                scale = lcm(b.denominator, *(c.denominator for c in a))
+                a = tuple(c.numerator * (scale // c.denominator) for c in a)
+                rows[i] = (a, b.numerator * (scale // b.denominator))
+        object.__setattr__(self, "ineqs", tuple(rows))
 
 
 def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
     """H-representation of the moment polytope of G, deterministic row order.
 
-    Rows are deduplicated on their sparse integer form, the nonzero
-    coefficients by edge and the bound, so the Python work per row is in
-    its support; the zeros of every dense row are one shared ``Fraction``.
-    The sparse rows are kept as the polytope's ``sparse``.
+    Rows are deduplicated on their sparse form, the nonzero coefficients by
+    edge and the bound, so the Python work per row is in its support; each
+    kept row is then written out dense, in ``int``.
     """
     d = G.edge_count
-    zero = Fraction(0)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
     seen: dict[tuple, None] = {}
 
     def add(coeffs: dict[int, int], bound: int):
-        key = (tuple(sorted((e, c) for e, c in coeffs.items() if c)), bound)
-        if key not in seen:
-            seen[key] = None
-            a = [zero] * d
-            for e, c in key[0]:
-                a[e] = Fraction(c)
-            rows.append((tuple(a), Fraction(bound)))
+        seen.setdefault((tuple(sorted((e, c) for e, c in coeffs.items() if c)), bound))
 
     for e in range(d):
         add({e: -1}, 0)
@@ -137,7 +114,13 @@ def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
         for e in triple:
             total[e] = total.get(e, 0) + 1
         add(total, 2)
-    return ClebschGordanPolytope(d, tuple(rows), tuple(seen))
+    rows = []
+    for support, bound in seen:
+        a = [0] * d
+        for e, c in support:
+            a[e] = c
+        rows.append((tuple(a), bound))
+    return ClebschGordanPolytope(d, tuple(rows))
 
 
 def contains(P: ClebschGordanPolytope, point: tuple[Fraction, ...]) -> bool:
@@ -272,7 +255,7 @@ def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fractio
             f"exact_volume supports dimension <= {MAX_EXACT_DIMENSION} "
             f"(got {P.dim}); use mc_volume"
         )
-    if _has_recession(P.integer_rows, P.dim):
+    if _has_recession(P.ineqs, P.dim):
         raise ValueError("polytope is unbounded: its rows admit a recession direction")
     memo: dict = {}
     pruned = 0
@@ -294,7 +277,7 @@ def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fractio
             memo[d, rows] = total / d
         return memo[d, rows]
 
-    result = volume(P.dim, _normalize_rows(P.integer_rows))
+    result = volume(P.dim, _normalize_rows(P.ineqs))
     if stats is not None:
         stats["memo_entries"] = len(memo)
         stats["faces_pruned"] = pruned
@@ -336,9 +319,9 @@ def mc_volume(
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     cut = [
-        (a, b, [e for e, c in enumerate(ia) if c])
-        for (a, b), (ia, ib) in zip(P.ineqs, P.integer_rows)
-        if sum(c for c in ia if c > 0) > ib
+        (a, b, [e for e, c in enumerate(a) if c])
+        for a, b in P.ineqs
+        if sum(c for c in a if c > 0) > b
     ]
     if not all(support for *_, support in cut):
         # A cut row that reads no coordinate, 0 <= b < 0, fails everywhere.
@@ -454,8 +437,8 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     # nonzero coefficient.
     lows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     highs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    support = [[(e, c) for e, c in enumerate(ia) if c] for ia, _ in P.integer_rows]
-    for (_, ib), sup in zip(P.integer_rows, support):
+    support = [[(e, c) for e, c in enumerate(ia) if c] for ia, _ in P.ineqs]
+    for (_, ib), sup in zip(P.ineqs, support):
         if len(sup) == 1:
             e, c = sup[0]
             (highs if c > 0 else lows)[e].append((c, ib))
@@ -473,7 +456,7 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
         magnitude = max(
             (
                 sum(abs(c) * reach[e] for e, c in sup) + abs(ib * k)
-                for (_, ib), sup in zip(P.integer_rows, support)
+                for (_, ib), sup in zip(P.ineqs, support)
             ),
             default=0,
         )
@@ -485,9 +468,9 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
         box_lo.append(lo)
         box_hi.append(hi)
     # A row with no coefficients never bounds a coordinate; check it once.
-    if any(ib < 0 for (_, ib), sup in zip(P.integer_rows, support) if not sup):
+    if any(ib < 0 for (_, ib), sup in zip(P.ineqs, support) if not sup):
         return [0] * len(levels)
-    rows = [row for row, sup in zip(P.integer_rows, support) if sup]
+    rows = [row for row, sup in zip(P.ineqs, support) if sup]
     order = connected_edge_order(G)
     # Rows A . j <= B[level] over the integer labels j, columns in edge order.
     A = np.array([[ia[e] for e in order] for ia, _ in rows], dtype=np.int64)
@@ -678,7 +661,7 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
 
 
 def to_json_dict(P: ClebschGordanPolytope) -> dict:
-    """Polytope JSON: {"dim": d, "ineqs": [[a_1..a_d, b], ...]}, rationals as strings."""
+    """Polytope JSON: {"dim": d, "ineqs": [[a_1..a_d, b], ...]}, integers as strings."""
     return {
         "dim": P.dim,
         "ineqs": [[str(c) for c in (*a, b)] for a, b in P.ineqs],
@@ -686,7 +669,8 @@ def to_json_dict(P: ClebschGordanPolytope) -> dict:
 
 
 def from_json_dict(data: dict) -> ClebschGordanPolytope:
-    """Parse polytope JSON; any other shape raises ValueError."""
+    """Parse polytope JSON, rows of rational strings (or ints), each row then
+    scaled to integers; any other shape raises ValueError."""
     if not isinstance(data, dict) or type(data.get("dim")) is not int or data["dim"] < 0:
         raise ValueError('polytope JSON needs a non-negative integer "dim" field')
     d, rows = data["dim"], data.get("ineqs")

@@ -399,23 +399,12 @@ def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
     else:
 
         def band(pa: int, pb: int, pc: int) -> np.ndarray:
+            a = np.arange(pa, k + 1, 2)[:, None, None]
             b = np.arange(pb, k + 1, 2)[:, None]
-            c = np.arange(pc, k + 1, 2)[None, :]
-            # The first label runs from |b - c| to min(b + c, 2k - b - c), both
-            # of its parity, so for each (b, c) the block holds one run of ones
-            # down its first axis.  Mark where each run starts and, on a spare
-            # last slab if need be, where it has ended; a running sum down that
-            # axis, slab by slab, fills it.
-            lo = (np.abs(b - c) - pa) // 2
-            hi = (np.minimum(b + c, 2 * k - b - c) - pa) // 2
-            n = (k - pa) // 2 + 1
-            block = np.zeros((n + 1, b.size, c.size))
-            y, z = np.arange(b.size)[:, None], np.arange(c.size)[None, :]
-            block[lo, y, z] = 1.0
-            block[hi + 1, y, z] = -1.0
-            for x in range(1, n):
-                block[x] += block[x - 1]
-            return block[:n]
+            c = np.arange(pc, k + 1, 2)
+            # Conditions (3) and (2): |b - c| <= a <= b + c, and a + b + c <= 2k.
+            inside = (np.abs(b - c) <= a) & (a <= np.minimum(b + c, 2 * k - b - c))
+            return inside.astype(np.float64)
 
         # Contiguous copies, so that every grouping of their axes into a
         # matrix is a view.

@@ -196,6 +196,16 @@ def test_count_malformed_graph_file(tmp_path, capsys, data):
     assert "error:" in err
 
 
+def test_count_graph_file_that_is_not_json(tmp_path, capsys):
+    # json.JSONDecodeError is a ValueError, so main reports it as one.
+    path = tmp_path / "bad.trinion.json"
+    path.write_text('{"vertices": 2, "edges": [')
+    code, out, err = run_cli(capsys, "count", "--graph", str(path), "--level", "1")
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_count_csv(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--genus", "2", "--level", "1", "--format", "csv"

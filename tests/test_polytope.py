@@ -143,6 +143,22 @@ def test_build_rows_and_json_match_the_dense_construction():
         assert json.dumps(to_json_dict(P)) == json.dumps(to_json_dict(expected))
 
 
+def test_build_polytope_makes_no_fraction(monkeypatch):
+    # Rows are written in int straight from the deduplicated sparse rows.
+    graphs = [G for g in (2, 3, 4) for G in generate_genus_graphs(g)]
+    graphs.append(graph._necklace_graph(38))
+    expected = [_dense_build_polytope(G) for G in graphs]
+
+    def refuse(*args):
+        raise AssertionError("build_polytope made a Fraction")
+
+    monkeypatch.setattr(polytope, "Fraction", refuse)
+    for G, want in zip(graphs, expected):
+        P = build_polytope(G)
+        assert P.ineqs == want.ineqs
+        assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
+
+
 # ---------------------------------------------------------------------------
 # Exact volume
 # ---------------------------------------------------------------------------
@@ -265,7 +281,7 @@ def test_volume_unbounded_is_an_error():
     assert exact_volume(ClebschGordanPolytope(2, triangle)) == Fraction(1, 2)
 
 
-def _random_polytope(rng: random.Random, d: int) -> ClebschGordanPolytope:
+def _random_rows(rng: random.Random, d: int) -> tuple:
     """The unit box, random rational cuts, and some opposite row pairs that
     leave a slab of positive, zero or negative width; rows shuffled."""
     f = Fraction
@@ -280,7 +296,11 @@ def _random_polytope(rng: random.Random, d: int) -> ClebschGordanPolytope:
             w = rng.choice((-1, 0, 0, 1)) * f(1, rng.randint(1, 3))
             rows.append((tuple(-s * c for c in a), -s * b + w))
     rng.shuffle(rows)
-    return ClebschGordanPolytope(d, tuple(rows))
+    return tuple(rows)
+
+
+def _random_polytope(rng: random.Random, d: int) -> ClebschGordanPolytope:
+    return ClebschGordanPolytope(d, _random_rows(rng, d))
 
 
 def test_volume_random_polytopes_against_hull_oracle():
@@ -436,7 +456,7 @@ def _slicing_cases():
     yield from (build_polytope(G) for G in graphs)
     yield from (from_json_dict({"dim": 2, "ineqs": _BOX_ROWS_2D + e}) for e in _JSON_EXTRA_ROWS)
     yield _box(3)  # no tested row: every sample hits
-    yield _simplex(3)  # one tested row: the second stage is empty
+    yield _simplex(3)  # one tested row: one stage draws all three coordinates
 
 
 @pytest.mark.parametrize("cells, samples", [(1, 2_000), (2**30, 40_000)])
@@ -453,16 +473,16 @@ def test_mc_slices_leave_estimates_alone(cells, samples, monkeypatch):
 @pytest.mark.parametrize("V", [18, 38])  # the genus-10 and genus-20 necklaces
 def test_mc_memory_is_bounded_by_the_cell_budget(V):
     P = build_polytope(graph._necklace_graph(V))
-    P.integer_rows  # cached before tracing, so the peak is mc_volume's own
     tracemalloc.start()
     try:
         mc_volume(P, 200_000, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Each of a slice's four float64 arrays, its samples, the first-stage
-    # values, the survivors and the second-stage values, holds at most
-    # _MC_CELLS cells: 8 MB in all at the default budget.
+    # A stage holds four float64 arrays of a slice at once, the coordinates
+    # drawn through the stage before, those drawn through its own, the
+    # uniforms it draws and its row values, each of at most _MC_CELLS
+    # cells: 8 MB in all at the default budget.
     assert peak < 4 * 8 * polytope._MC_CELLS
 
 
@@ -532,14 +552,17 @@ def test_mc_draws_per_sample_stay_flat_in_genus(g):
 
 def test_integer_rows_scale_each_row_and_are_cached():
     P = from_json_dict({"dim": 2, "ineqs": [["1/3", "1/2", "1"], ["-2", "0", "0"]]})
-    assert P.integer_rows == (((2, 3), 6), ((-2, 0), 0))
-    assert P.integer_rows is P.integer_rows
+    assert P.ineqs == (((2, 3), 6), ((-2, 0), 0))
+    assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
+    # The JSON round trip writes the scaled rows and reads an equal polytope.
+    assert to_json_dict(P)["ineqs"] == [["2", "3", "6"], ["-2", "0", "0"]]
+    assert from_json_dict(json.loads(json.dumps(to_json_dict(P)))) == P
 
 
-def _integer_rows_dense(P: ClebschGordanPolytope):
+def _integer_rows_dense(rows):
     """Every entry of every row scaled as a Fraction: the reference form."""
     out = []
-    for a, b in P.ineqs:
+    for a, b in rows:
         scale = lcm(*(f.denominator for f in (*a, b)))
         out.append((tuple(int(f * scale) for f in a), int(b * scale)))
     return tuple(out)
@@ -549,22 +572,22 @@ def _integer_rows_dense(P: ClebschGordanPolytope):
 def test_integer_rows_equal_the_dense_scaling_on_every_class(g):
     for G in generate_genus_graphs(g):
         P = build_polytope(G)
-        assert P.integer_rows == _integer_rows_dense(P)
+        assert P.ineqs == _integer_rows_dense(P.ineqs)
+        assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
         Q = from_json_dict(json.loads(json.dumps(to_json_dict(P))))
-        assert Q.integer_rows == P.integer_rows
-        # P's rows come from its sparse form, Q's from a scan of the dense
-        # rows; the sparse form is not compared.
-        assert P.sparse is not None and Q.sparse is None
+        assert Q.ineqs == P.ineqs
         assert Q == P and hash(Q) == hash(P)
 
 
 def test_integer_rows_equal_the_dense_scaling_on_random_polytopes():
     rng = random.Random(7)
     for i in range(60):
-        P = _random_polytope(rng, 2 + i % 4)
-        want = _integer_rows_dense(P)
-        assert P.integer_rows == want
-        assert all(type(c) is int for a, b in P.integer_rows for c in (*a, b))
+        d = 2 + i % 4
+        rows = _random_rows(rng, d)
+        P = ClebschGordanPolytope(d, rows)
+        assert P.ineqs == _integer_rows_dense(rows)
+        assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(P)))) == P
 
 
 # ---------------------------------------------------------------------------
