@@ -26,12 +26,10 @@ from itertools import product
 from math import lcm
 from operator import mul
 
+from verlinde_lab.budget import BudgetExceeded
+
 #: bs_points and e_bs_fibres refuse to materialize more points than this.
 DEFAULT_MAX_POINTS = 10**6
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a point set is too large to materialize."""
 
 
 class SingularComponentError(ValueError):
@@ -74,7 +72,7 @@ def bs_count(F: TorusFibration) -> int:
 
 
 def bs_points(F: TorusFibration, max_points: int = DEFAULT_MAX_POINTS) -> list[Characteristic]:
-    """All k^g characteristics, in lexicographic order."""
+    """All k^g characteristics, in lexicographic order; BudgetExceeded past max_points."""
     total = bs_count(F)
     if total > max_points:
         raise BudgetExceeded(

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from verlinde_lab import abelian as abelian_mod
 from verlinde_lab import fusion, graph, polytope, weights
+from verlinde_lab.budget import BudgetExceeded
 
 DEFAULT_MC_SAMPLES = 10**6
 DEFAULT_SEED = 0
@@ -450,14 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report: RunReport = args.func(args)
-    except (
-        ValueError,
-        OSError,
-        ArithmeticError,
-        weights.WorkBoundExceeded,
-        weights.FrontierBudgetExceeded,
-        abelian_mod.BudgetExceeded,
-    ) as exc:
+    except (ValueError, OSError, ArithmeticError, BudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     report.timing_seconds = time.perf_counter() - start

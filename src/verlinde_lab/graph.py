@@ -250,30 +250,39 @@ def _canonical_key(loops: list[int], mult: list[list[int]], V: int) -> tuple[int
 
     Branch-and-bound over partial orderings: placing vertex v at position i
     appends (loops[v], mult[v][perm[0]], ..., mult[v][perm[i-1]]); any prefix
-    already above the best known key is pruned.
+    already above the best known key is pruned.  The bound starts at the key
+    of one greedy ordering, which places at each step the unused vertex with
+    the least segment, ties to the lowest index: a real key, so the minimum
+    is unchanged, and a non-canonical labelling is pruned from the start.
     """
-    best: list[tuple[int, ...] | None] = [None]
+
+    def segment(v: int, perm: list[int]) -> tuple[int, ...]:
+        return (loops[v],) + tuple(mult[v][u] for u in perm)
+
+    greedy: list[int] = []
+    best = ()
+    for _ in range(V):
+        seg, v = min((segment(v, greedy), v) for v in range(V) if v not in greedy)
+        greedy.append(v)
+        best += seg
 
     def extend(perm: list[int], used: int, key: tuple[int, ...]):
-        i = len(perm)
-        if i == V:
-            if best[0] is None or key < best[0]:
-                best[0] = key
+        nonlocal best
+        if len(perm) == V:
+            best = min(best, key)
             return
         for v in range(V):
             if used & (1 << v):
                 continue
-            seg = (loops[v],) + tuple(mult[v][perm[j]] for j in range(i))
-            new_key = key + seg
-            if best[0] is not None and new_key > best[0][: len(new_key)]:
+            new_key = key + segment(v, perm)
+            if new_key > best[: len(new_key)]:
                 continue
             perm.append(v)
             extend(perm, used | (1 << v), new_key)
             perm.pop()
 
     extend([], 0, ())
-    assert best[0] is not None
-    return (V,) + best[0]
+    return (V,) + best
 
 
 @lru_cache(maxsize=4096)
@@ -369,29 +378,32 @@ def generate_genus_graphs(g: int) -> list[TrinionGraph]:
     """All connected 3-valent multigraphs with 2g-2 vertices, one per class.
 
     Breadth-first closure of the necklace graph under `fusion_move` (both
-    variants on every non-loop edge), deduplicated by `canonical_form`.  It
-    is complete because fusion (Whitehead) moves connect all trivalent graphs
-    of a given rank (Hatcher-Thurston 1980, Culler-Vogtmann 1986).  Output is
-    the canonical representative of each class, sorted by canonical key, so
-    repeated runs are byte-identical.  Genus 2..5 gives 2, 5, 17 and 71
-    classes (OEIS A005967).
+    variants on every non-loop edge), deduplicated by `canonical_form`.  The
+    queue holds half-edge pairings, so each distinct graph is validated
+    once, when its canonical form is first computed.  It is complete because
+    fusion (Whitehead) moves connect all trivalent graphs of a given rank
+    (Hatcher-Thurston 1980, Culler-Vogtmann 1986).  Output is the canonical
+    representative of each class, sorted by canonical key, so repeated runs
+    are byte-identical.  Genus 2..5 gives 2, 5, 17 and 71 classes (OEIS
+    A005967).
     """
     if not MIN_GENUS <= g <= MAX_GENUS:
         raise ValueError(f"genus must lie in [{MIN_GENUS}, {MAX_GENUS}], got {g}")
-    seed = _necklace_graph(2 * g - 2)
-    keys = {canonical_form(seed)}
+    seed = _necklace_graph(2 * g - 2).pairing
+    keys = {_canonical_form_cached(seed)}
     queue = deque([seed])
     while queue:
-        G = queue.popleft()
-        for e, (h, q) in enumerate(G.edges):
+        pairing = queue.popleft()
+        edges = [(h, q) for h, q in enumerate(pairing) if h < q]
+        for h, q in edges:
             if h // 3 == q // 3:
                 continue
             for variant in (0, 1):
-                H = fusion_move(G, e, variant)
-                key = canonical_form(H)
+                moved = _fusion_pairing(pairing, edges, h, q, variant)
+                key = _canonical_form_cached(moved)
                 if key not in keys:
                     keys.add(key)
-                    queue.append(H)
+                    queue.append(moved)
     return [graph_from_canonical(k) for k in sorted(keys)]
 
 
@@ -410,12 +422,21 @@ def fusion_move(G: TrinionGraph, edge_index: int, variant: int) -> TrinionGraph:
     if not 0 <= edge_index < len(edges):
         raise ValueError(f"edge index {edge_index} out of range")
     h1, h2 = edges[edge_index]
-    v1, v2 = h1 // 3, h2 // 3
-    if v1 == v2:
+    if h1 // 3 == h2 // 3:
         raise ValueError("cannot apply a fusion move to a loop")
+    return TrinionGraph(_fusion_pairing(G.pairing, edges, h1, h2, variant))
 
-    a, b = sorted(h for h in G.half_edges_of_vertex(v1) if h != h1)
-    c, d = sorted(h for h in G.half_edges_of_vertex(v2) if h != h2)
+
+def _fusion_pairing(pairing, edges, h1: int, h2: int, variant: int) -> tuple[int, ...]:
+    """The pairing after ``fusion_move`` on the non-loop edge (h1, h2), h1 < h2.
+
+    ``edges`` lists the pairing's edges as ``TrinionGraph.edges`` does.  The
+    result is not validated: the closure validates each distinct graph once,
+    in ``_canonical_form_cached``.
+    """
+    v1, v2 = h1 // 3, h2 // 3
+    a, b = (h for h in range(3 * v1, 3 * v1 + 3) if h != h1)
+    c, d = (h for h in range(3 * v2, 3 * v2 + 3) if h != h2)
     if variant == 0:
         first, second = (a, c), (b, d)
     else:
@@ -430,14 +451,14 @@ def fusion_move(G: TrinionGraph, edge_index: int, variant: int) -> TrinionGraph:
         second[1]: 3 * v2 + 1,
     }
     bridge1, bridge2 = 3 * v1 + 2, 3 * v2 + 2
-    new_pairing = [-1] * len(G.pairing)
+    new_pairing = [-1] * len(pairing)
     for x, y in edges:
-        if (x, y) == (min(h1, h2), max(h1, h2)):
+        if (x, y) == (h1, h2):
             continue
         nx, ny = relabel.get(x, x), relabel.get(y, y)
         new_pairing[nx], new_pairing[ny] = ny, nx
     new_pairing[bridge1], new_pairing[bridge2] = bridge2, bridge1
-    return TrinionGraph(tuple(new_pairing))
+    return tuple(new_pairing)
 
 
 def to_json_dict(G: TrinionGraph) -> dict:

@@ -41,11 +41,13 @@ from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
+from verlinde_lab.budget import BudgetExceeded
 from verlinde_lab.fusion import bernoulli_numbers
 from verlinde_lab.graph import TrinionGraph, connected_edge_order, sliced_frontier
 from verlinde_lab.weights import count_via_contraction
 
-#: exact_volume is a recursive boundary integration; cap the dimension.
+#: exact_volume is a recursive boundary integration; past this dimension it
+#: raises BudgetExceeded.
 MAX_EXACT_DIMENSION = 6
 
 MIN_MC_SAMPLES = 10**3
@@ -240,18 +242,19 @@ def _substitute(rows, facet_row, pivot: int):
 def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fraction:
     """Exact Euclidean volume; 0 for degenerate (lower-dimensional) input.
 
-    Raises ValueError when the rows bound no region: when a . d <= 0 for
-    every row has a solution d != 0, whatever the right-hand sides, so an
-    empty region with unbounded rows is refused as well.  That is decided
-    once per call by ``_has_recession``; every face of a region it passes
-    is bounded too, so each 1-D face ends in two rows.
+    Raises BudgetExceeded past ``MAX_EXACT_DIMENSION``, and ValueError when
+    the rows bound no region: when a . d <= 0 for every row has a solution
+    d != 0, whatever the right-hand sides, so an empty region with unbounded
+    rows is refused as well.  That is decided once per call by
+    ``_has_recession``; every face of a region it passes is bounded too, so
+    each 1-D face ends in two rows.
 
     A ``stats`` dict, if given, receives ``memo_entries``, the faces
     integrated, and ``faces_pruned``, the empty or zero-width faces that
     normalisation set to 0 without recursing.
     """
     if P.dim > MAX_EXACT_DIMENSION:
-        raise ValueError(
+        raise BudgetExceeded(
             f"exact_volume supports dimension <= {MAX_EXACT_DIMENSION} "
             f"(got {P.dim}); use mc_volume"
         )

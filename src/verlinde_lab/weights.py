@@ -44,7 +44,7 @@ which is exact while every count stays below 2^53, and switches to exact
 Python ints (dtype=object) at the first merge whose result reaches 2^53.
 Every tensor's stored cells are checked against a budget before the first
 is allocated; the default of 10^7 cells holds one tensor, at 8 bytes a
-cell, to about 80 MB.
+cell, to about 80 MB.  Either route raises BudgetExceeded past its budget.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from math import prod
 
 import numpy as np
 
+from verlinde_lab.budget import BudgetExceeded
 from verlinde_lab.graph import TrinionGraph, connected_edge_order, extend_prefixes, sliced_frontier
 
 #: Enumeration refuses when the raw label space (k+1)^E exceeds this.
@@ -68,14 +69,6 @@ DEFAULT_MAX_FRONTIER = 10**7
 # float64 holds every integer below 2^53 exactly; contraction leaves it at
 # the first merge that reaches this.
 _FLOAT_EXACT_LIMIT = 2**53
-
-
-class WorkBoundExceeded(RuntimeError):
-    """Raised when brute-force enumeration would exceed its state budget."""
-
-
-class FrontierBudgetExceeded(RuntimeError):
-    """Raised when tensor contraction would exceed its frontier budget."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def is_admissible(G: TrinionGraph, w: WeightAssignment) -> bool:
 def _check_state_budget(G: TrinionGraph, k: int, max_states: int) -> None:
     states = (k + 1) ** G.edge_count
     if states > max_states:
-        raise WorkBoundExceeded(
+        raise BudgetExceeded(
             f"(k+1)^E = {states} exceeds the {max_states} state budget; "
             "use count_via_contraction instead"
         )
@@ -357,7 +350,7 @@ def count_admissible_bruteforce(
     """|enumerate_admissible(G, k)| without materializing the labels.
 
     The single-level form of ``bruteforce_counts``, which raises
-    WorkBoundExceeded where that one leaves the level out.  A ``stats``
+    BudgetExceeded where that one leaves the level out.  A ``stats``
     dict, if given, receives the search's ``nodes`` and ``pruned`` counters
     (see ``_dfs_admissible``).
     """
@@ -514,7 +507,7 @@ def _greedy_steps(edges: list[tuple[int, ...]]) -> tuple[list, list[set[int]]]:
     Only pairs that share an open edge are candidates, and every open edge
     lies in exactly two live tensors: the candidates wait in a heap, a merge
     pushes its result's pairs and a pair is dropped when it is popped after
-    one of its slots was merged.  ROADMAP item 1's searched merge order is
+    one of its slots was merged.  ROADMAP item 2's searched merge order is
     to replace this function.
     """
     sets = [set(e) for e in edges]
@@ -736,9 +729,9 @@ def count_via_contraction(
     views.  The vertex blocks of level k are built once and shared by every
     graph (``_vertex_blocks``).  Before any tensor is built, the stored
     cells of every tensor the plan builds are checked against
-    ``max_frontier``; the default budget of 10^7 cells bounds one tensor at
-    about 80 MB.  Agrees with count_admissible_bruteforce by construction
-    of the vertex blocks.
+    ``max_frontier``, and BudgetExceeded is raised if one passes it; the
+    default budget of 10^7 cells bounds one tensor at about 80 MB.  Agrees
+    with count_admissible_bruteforce by construction of the vertex blocks.
 
     Merges run in float64 until the first merge whose largest entry, over
     all its blocks, reaches 2^53.  That merge is redone, and every later one
@@ -774,7 +767,7 @@ def count_via_contraction(
     for width in (*widths, *(m.width for m in merges)):
         need = ((n0 + n1) ** width + (n0 - n1) ** width) // 2
         if need > max_frontier:
-            raise FrontierBudgetExceeded(
+            raise BudgetExceeded(
                 f"frontier of {width} open edges needs even-parity blocks of "
                 f"((k+1)^{width} + {n0 - n1}^{width})/2 = {need} cells; "
                 f"budget is {max_frontier}"

@@ -226,6 +226,30 @@ def test_count_work_bound_error(capsys):
     assert "count_via_contraction" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "count --genus 3 --level 8 --method brute --max-states 100",
+            "(k+1)^E = 531441 exceeds the 100 state budget; use count_via_contraction instead",
+        ),
+        (
+            "count --genus 4 --level 24 --max-frontier 1000",
+            "frontier of 3 open edges needs even-parity blocks of "
+            "((k+1)^3 + 1^3)/2 = 7813 cells; budget is 1000",
+        ),
+        (
+            "polytope --genus 4 --mode volume-exact",
+            "exact_volume supports dimension <= 6 (got 9); use mc_volume",
+        ),
+    ],
+    ids=["brute-states", "contraction-frontier", "exact-volume-dimension"],
+)
+def test_budget_refusals_exit_1_with_the_route_message(capsys, argv, message):
+    # Every route raises the one BudgetExceeded, which main reports alone.
+    assert run_cli(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+
+
 def test_count_brute_on_a_graph_past_the_recursion_limit(tmp_path, capsys):
     # At k = 0 the state budget admits any graph, (0+1)^E = 1, and the search
     # keeps its depths on a stack, not in frames: genus 400 has E = 1197,

@@ -3,9 +3,12 @@
 import json
 import random
 from functools import lru_cache
+from itertools import permutations
+from unittest import mock
 
 import pytest
 
+from verlinde_lab import graph
 from verlinde_lab.graph import (
     TrinionGraph,
     canonical_form,
@@ -139,6 +142,51 @@ def test_canonical_invariant_under_relabeling():
         key = canonical_form(G)
         for _ in range(12):
             assert canonical_form(_relabeled(G, rng)) == key
+
+
+@lru_cache(maxsize=None)
+def _closure_pairings(g: int) -> frozenset[tuple[int, ...]]:
+    """Every distinct pairing whose canonical form the genus-g closure asks for."""
+    met = set()
+    real = graph._canonical_form_cached
+
+    def record(pairing):
+        met.add(pairing)
+        return real(pairing)
+
+    with mock.patch.object(graph, "_canonical_form_cached", record):
+        generate_genus_graphs(g)
+    return frozenset(met)
+
+
+def _exhaustive_key(G: TrinionGraph) -> tuple[int, ...]:
+    """The canonical key by definition: the least key over all V! vertex orderings."""
+    loops, mult = G.adjacency_counts()
+    return (G.vertex_count,) + min(
+        tuple(x for i, v in enumerate(order) for x in (loops[v], *(mult[v][u] for u in order[:i])))
+        for order in permutations(range(G.vertex_count))
+    )
+
+
+@pytest.mark.parametrize("g, met", [(2, 3), (3, 38), (4, 210)])
+def test_canonical_key_is_the_exhaustive_minimum(g, met):
+    pairings = _closure_pairings(g)
+    assert len(pairings) == met
+    for pairing in sorted(pairings):
+        G = TrinionGraph(pairing)
+        assert graph._canonical_key(*G.adjacency_counts(), G.vertex_count) == _exhaustive_key(G)
+
+
+def test_canonical_key_invariant_under_relabeling_at_genus_five():
+    # V! = 40320 orderings puts the exhaustive oracle out of reach here.
+    rng = random.Random(5)
+    classes = _classes(5)
+    assert len(classes) == 71
+    for G in classes:
+        key = canonical_form(G)
+        for _ in range(3):
+            H = _relabeled(G, rng)
+            assert graph._canonical_key(*H.adjacency_counts(), H.vertex_count) == key.key
 
 
 def test_canonical_separates_theta_and_dumbbell():

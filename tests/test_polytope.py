@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from verlinde_lab import graph, polytope
+from verlinde_lab.budget import BudgetExceeded
 from verlinde_lab.fusion import verlinde_dim, verlinde_polynomial
 from verlinde_lab.graph import dumbbell_graph, generate_genus_graphs, theta_graph
 from verlinde_lab.polytope import (
@@ -349,7 +350,7 @@ def test_volume_genus_four_past_the_cap(monkeypatch):
 
 
 def test_volume_dimension_cap():
-    with pytest.raises(ValueError, match="mc_volume"):
+    with pytest.raises(BudgetExceeded, match="mc_volume"):
         exact_volume(_box(7))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from verlinde_lab import graph, weights
+from verlinde_lab.budget import BudgetExceeded
 from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
     TrinionGraph,
@@ -20,10 +21,8 @@ from verlinde_lab.graph import (
     theta_graph,
 )
 from verlinde_lab.weights import (
-    FrontierBudgetExceeded,
     ThetaLabel,
     WeightAssignment,
-    WorkBoundExceeded,
     bruteforce_counts,
     count_admissible_bruteforce,
     count_via_contraction,
@@ -161,9 +160,9 @@ def test_count_matches_enumeration_length():
 
 
 def test_work_bound():
-    with pytest.raises(WorkBoundExceeded, match="count_via_contraction"):
+    with pytest.raises(BudgetExceeded, match="count_via_contraction"):
         count_admissible_bruteforce(THETA, 1000, max_states=10**6)
-    with pytest.raises(WorkBoundExceeded):
+    with pytest.raises(BudgetExceeded):
         enumerate_admissible(THETA, 1000, max_states=10**6)
 
 
@@ -308,7 +307,7 @@ def test_bruteforce_counts_leave_out_the_levels_past_the_budget():
     got = bruteforce_counts(G, range(7))
     assert list(got) == [0, 1, 2, 3, 4]
     assert got == {k: count_admissible_bruteforce(G, k) for k in range(5)}
-    with pytest.raises(WorkBoundExceeded):
+    with pytest.raises(BudgetExceeded):
         count_admissible_bruteforce(G, 5)
     assert bruteforce_counts(G, range(7), max_states=5**9 - 1) == {k: got[k] for k in range(4)}
     stats: dict = {}
@@ -480,7 +479,7 @@ def test_contraction_budget_fails_before_any_merge(monkeypatch):
     G = generate_genus_graphs(4)[3]
     _, plan = weights._contraction_plan(G.pairing)
     assert [m.width for m in plan] == [2, 3, 4, 3, 0]
-    with pytest.raises(FrontierBudgetExceeded, match="frontier of 4 open edges"):
+    with pytest.raises(BudgetExceeded, match="frontier of 4 open edges"):
         count_via_contraction(G, 4, max_frontier=_stored_cells(4, 4) - 1)
     assert merges == []
 
@@ -805,13 +804,13 @@ def test_fusion_move_invariance():
 
 
 def test_frontier_budget():
-    with pytest.raises(FrontierBudgetExceeded, match="budget"):
+    with pytest.raises(BudgetExceeded, match="budget"):
         count_via_contraction(generate_genus_graphs(3)[0], 9, max_frontier=10)
 
 
 def test_frontier_budget_checked_before_allocation():
     # A theta vertex tensor at k = 10^4 would need 10^12 cells.
-    with pytest.raises(FrontierBudgetExceeded, match=r"\(k\+1\)\^3"):
+    with pytest.raises(BudgetExceeded, match=r"\(k\+1\)\^3"):
         count_via_contraction(THETA, 10**4)
 
 
