@@ -67,6 +67,36 @@ def _graphs_for(args) -> list[tuple[str, graph.TrinionGraph]]:
     return out
 
 
+def _check_budget_flags(args) -> None:
+    for flag, value in (("--max-states", args.max_states), ("--max-frontier", args.max_frontier)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
+
+
+# Every count route by its --method name, with the first level it counts.  A
+# route maps (G, levels, args, stats) to {k: count} over the levels it
+# counted, and fills ``stats`` with its counters.
+
+
+def _contract(G, levels, args, stats) -> dict[int, int]:
+    # One call per level; ``stats`` keeps the last one's counters.
+    return {
+        k: weights.count_via_contraction(G, k, max_frontier=args.max_frontier, stats=stats)
+        for k in levels
+    }
+
+
+def _brute(G, levels, args, stats) -> dict[int, int]:
+    return weights.bruteforce_counts(G, levels, max_states=args.max_states, stats=stats)
+
+
+def _lattice(G, levels, args, stats) -> dict[int, int]:
+    return dict(zip(levels, polytope.lattice_counts(polytope.build_polytope(G), G, levels)))
+
+
+ROUTES = {"contract": (_contract, 0), "brute": (_brute, 0), "lattice": (_lattice, 1)}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -110,17 +140,12 @@ def cmd_count(args) -> RunReport:
             "method": args.method,
         },
     )
+    _check_budget_flags(args)
+    count, _ = ROUTES[args.method]
     table = []
     for ident, G in _graphs_for(args):
         stats: dict = {}
-        if args.method == "brute":
-            n = weights.count_admissible_bruteforce(
-                G, args.level, max_states=args.max_states, stats=stats
-            )
-        else:
-            n = weights.count_via_contraction(
-                G, args.level, max_frontier=args.max_frontier, stats=stats
-            )
+        n = count(G, [args.level], args, stats)[args.level]
         table.append({"graph": ident, "count": n, **stats})
     counts = [row["count"] for row in table]
     report.outputs["per_graph"] = table
@@ -141,40 +166,34 @@ def cmd_verlinde(args) -> RunReport:
 def cmd_check(args) -> RunReport:
     """Reconcile every route's rank at each level 0..--max-level.
 
-    Per level k: graph-independence[k] and contraction-equals-verlinde[k],
-    then per graph one <route>-equals-contraction[k,graph] check for each
-    route that applies: brute at the levels its --max-states budget admits,
-    lattice at k >= 1.
-    first_discrepancy is the first failed check's name and its details.
-    After the contraction has run at every level, the lattice route counts
-    all of a graph's levels in one pass, and the brute route all of its
-    admitted levels in one depth-first search (``weights.bruteforce_counts``).
+    Each route of ``ROUTES`` runs once per graph, over all its levels, in
+    table order: the contraction on every graph first, so that a frontier
+    budget error comes before the other routes run.  Per level k the report
+    holds graph-independence[k] and contraction-equals-verlinde[k], then per
+    graph one <route>-equals-contraction[k,graph] check for each other route
+    that counted k: brute at the levels its --max-states budget admits,
+    lattice at k >= 1.  outputs.stats[route][graph] holds each route's
+    counters, the contraction's at the top level.  first_discrepancy is the
+    first failed check's name and its details.
     """
     if args.max_level < 0:
         raise ValueError("--max-level must be non-negative")
+    _check_budget_flags(args)
     report = RunReport("check", {"genus": args.genus, "max_level": args.max_level})
-    graphs = [(ident, G, polytope.build_polytope(G)) for ident, G in _graphs_for(args)]
+    graphs = _graphs_for(args)
     levels = range(args.max_level + 1)
-    # Every contraction first, so that a budget error comes before the
-    # lattice and brute passes, which count all levels of a graph at once.
-    contraction = [
-        {
-            ident: weights.count_via_contraction(G, k, max_frontier=args.max_frontier)
-            for ident, G, _ in graphs
-        }
-        for k in levels
-    ]
-    lattice = {
-        ident: dict(zip(levels[1:], polytope.lattice_counts(P, G, levels[1:])))
-        for ident, G, P in graphs
+    stats = {name: {ident: {} for ident, _ in graphs} for name in ROUTES}
+    # Route by route, so that a contraction over its budget fails before
+    # the other routes run.
+    by_route = {
+        name: {ident: count(G, levels[first:], args, stats[name][ident]) for ident, G in graphs}
+        for name, (count, first) in ROUTES.items()
     }
-    brute = {
-        ident: weights.bruteforce_counts(G, levels, max_states=args.max_states)
-        for ident, G, _ in graphs
-    }
+    report.outputs["stats"] = stats
+    contraction = by_route.pop("contract")
     for k in levels:
         dim = fusion.verlinde_dim(args.genus, k)
-        counts = contraction[k]
+        counts = {ident: contraction[ident][k] for ident, _ in graphs}
         report.add_check(
             f"graph-independence[k={k}]", len(set(counts.values())) == 1, counts=counts
         )
@@ -184,18 +203,15 @@ def cmd_check(args) -> RunReport:
             verlinde=dim,
             counts=counts,
         )
-        for ident, _, _ in graphs:
-            routes = {}
-            if k in brute[ident]:
-                routes["brute"] = brute[ident][k]
-            if k >= 1:
-                routes["lattice"] = lattice[ident][k]
-            for route, n in routes.items():
-                report.add_check(
-                    f"{route}-equals-contraction[k={k},{ident}]",
-                    n == counts[ident],
-                    **{route: n, "contraction": counts[ident]},
-                )
+        for ident, _ in graphs:
+            for route, by_graph in by_route.items():
+                if k in by_graph[ident]:
+                    n = by_graph[ident][k]
+                    report.add_check(
+                        f"{route}-equals-contraction[k={k},{ident}]",
+                        n == counts[ident],
+                        **{route: n, "contraction": counts[ident]},
+                    )
     first = next((c for c in report.checks if not c["passed"]), None)
     if first is not None:
         details = ", ".join(
@@ -399,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--genus", type=int)
     src.add_argument("--graph", help="path to a .trinion.json file")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--method", choices=("contract", "brute"), default="contract")
+    p.add_argument("--method", choices=tuple(ROUTES), default="contract")
     _add_budgets(p)
     _add_common(p)
     p.set_defaults(func=cmd_count)

@@ -15,11 +15,12 @@ four uniforms at any genus.
 
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity
-condition, so ``lattice_count`` must and does reproduce the weight counts.
+condition, so their count is a third route to the weight counts, which
+``check`` holds to the contraction at every level from 1.
 ``lattice_counts`` counts every requested level in one pass, with a numpy
 frontier of partial points fixed coordinate by coordinate along a connected
-edge order; each point carries its level's index, which selects its label
-box and row bounds.  At each coordinate the admitted labels of a partial
+edge order (``lattice_count`` is its single-level form); each point carries
+its level's index, which selects its label box and row bounds.  At each coordinate the admitted labels of a partial
 point form an interval, cut to one parity class by the vertices that
 complete there, so the next frontier is a repeat of arithmetic progressions
 and the last coordinate is summed per level in closed form.  Frontiers are

@@ -18,18 +18,20 @@ The boundary assignment j_e = k everywhere (the maximally degenerate fibre)
 violates condition (2) at every vertex for k >= 1 and is deliberately not
 counted; the counts here are strict.
 
-Two routes count the admissible assignments.  count_admissible_bruteforce
-is a depth-first enumeration and serves as the oracle.  It labels edges in
-a connected order; at each edge, the labels that satisfy every vertex
-completing there form one arithmetic progression (conditions (1)-(3) solved
-for that edge), so no label is tried that fails a vertex closing there, and
-the last edge's progression is counted by its length, not listed.  The
-search runs on numpy frontiers, every prefix of a depth that it holds at
-once as one int64 column, expanded by ``graph.sliced_frontier``, which the
-lattice route shares.
-bruteforce_counts runs that one search at the highest level the state
-budget admits and counts every lower level on the way: a labeling admitted
-there is admitted at level m exactly when each vertex sum is at most 2m.
+Two routes count the admissible assignments; ``cli.ROUTES`` lists them
+with the polytope's lattice points, and ``check`` holds the other routes
+to the contraction.  bruteforce_counts is a depth-first enumeration.  It
+labels edges in a connected order; at each edge, the labels that satisfy
+every vertex completing there form one arithmetic progression (conditions
+(1)-(3) solved for that edge), so no label is tried that fails a vertex
+closing there, and the last edge's progression is counted by its length,
+not listed.  The search runs on numpy frontiers, every prefix of a depth
+that it holds at once as one int64 column, expanded by
+``graph.sliced_frontier``, which the lattice route shares.  One search
+runs at the highest level the state budget admits and counts every lower
+level on the way: a labeling admitted there is admitted at level m exactly
+when each vertex sum is at most 2m.  count_admissible_bruteforce is its
+single-level form.
 count_via_contraction gives every vertex a 0/1 numpy tensor over its edge
 labels and merges the tensors pairwise, in a greedy order that keeps the
 fewest edges open, planned once per graph.  Condition (1) is a Z/2 charge
@@ -323,20 +325,20 @@ def bruteforce_counts(
 ) -> dict[int, int]:
     """Per k in ``levels`` that the state budget admits, |enumerate_admissible(G, k)|.
 
-    A level is admitted when (k+1)^E <= max_states; refused levels are
-    absent from the result.  One ``_dfs_admissible`` runs at the highest
-    admitted level and counts every lower one on the way.  Levels may
-    repeat and come in any order.  A ``stats`` dict, if given, receives that
-    search's ``nodes`` and ``pruned`` counters; it is left as it is when
-    every level is refused.
+    A level is admitted when (k+1)^E <= max_states.  One ``_dfs_admissible``
+    runs at the highest admitted level and counts every lower one on the
+    way; higher levels are left out, and with none admitted the search at
+    the lowest raises BudgetExceeded.  Levels may repeat and come in any
+    order; none gives {}.  A ``stats`` dict, if given, receives that
+    search's ``nodes`` and ``pruned`` counters.
     """
     levels = set(levels)
     if any(k < 0 for k in levels):
         raise ValueError("level must be non-negative")
-    admitted = sorted(k for k in levels if (k + 1) ** G.edge_count <= max_states)
-    if not admitted:
+    if not levels:
         return {}
-    top, floor = admitted[-1], admitted[0]
+    admitted = sorted(k for k in levels if (k + 1) ** G.edge_count <= max_states)
+    top, floor = max(admitted, default=min(levels)), min(levels)
     counts, _ = _dfs_admissible(G, top, floor, collect=False, max_states=max_states, stats=stats)
     return {k: counts[k] for k in admitted}
 
@@ -347,17 +349,8 @@ def count_admissible_bruteforce(
     max_states: int = DEFAULT_MAX_STATES,
     stats: dict | None = None,
 ) -> int:
-    """|enumerate_admissible(G, k)| without materializing the labels.
-
-    The single-level form of ``bruteforce_counts``, which raises
-    BudgetExceeded where that one leaves the level out.  A ``stats``
-    dict, if given, receives the search's ``nodes`` and ``pruned`` counters
-    (see ``_dfs_admissible``).
-    """
-    if k < 0:
-        raise ValueError("level must be non-negative")
-    counts, _ = _dfs_admissible(G, k, k, collect=False, max_states=max_states, stats=stats)
-    return counts[k]
+    """|enumerate_admissible(G, k)|: the single-level form of ``bruteforce_counts``."""
+    return bruteforce_counts(G, [k], max_states=max_states, stats=stats)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +358,7 @@ def count_admissible_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
     """Even-parity blocks, in float64, of a vertex with ``width`` open edges.
 
@@ -380,9 +373,10 @@ def _vertex_blocks(width: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
     leaves k - t + 1 values of l for every even t, a single block on the
     other edge.
 
-    Every contraction at level k shares one read-only copy.  The last 16
+    Every contraction at level k shares one read-only copy.  The last 32
     (width, k) pairs stay cached: ``asymptotic_table`` revisits levels
-    0..d+1 in both widths for each class, 2d + 4 pairs, 16 at genus 3.  A
+    0..d+1 in both widths for each class, 2d + 4 pairs, 16 at genus 3, and
+    ``check`` levels 0..m for each class, 2m + 2 pairs, 32 at m = 15.  A
     width-3 entry holds about (k+1)^3 / 2 float64 cells (0.5 MB at k = 50),
     never more than the frontier budget of the call that built it; a
     width-1 entry holds k/2 + 1.

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from verlinde_lab import cli, weights
+from verlinde_lab import cli, polytope, weights
 from verlinde_lab.abelian import AffineMultisection, MultisectionComponent
 from verlinde_lab.abelian import to_json_dict as multisection_json
+from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import _necklace_graph, save_graph, theta_graph
 
 
@@ -267,6 +268,44 @@ def test_count_brute_on_a_graph_past_the_recursion_limit(tmp_path, capsys):
     assert (row["nodes"], row["pruned"]) == (1197, 0)
 
 
+def test_count_method_choices_are_the_route_table():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (method,) = (a for a in sub.choices["count"]._actions if a.dest == "method")
+    assert tuple(method.choices) == tuple(cli.ROUTES) == ("contract", "brute", "lattice")
+
+
+@pytest.mark.parametrize("genus", (2, 3))
+def test_count_lattice_equals_contraction_and_verlinde(capsys, genus):
+    for k in range(1, 9):
+        per_method = {}
+        for method in ("lattice", "contract"):
+            code, report, _ = run_json(
+                capsys, "count", "--genus", str(genus), "--level", str(k), "--method", method
+            )
+            assert code == 0
+            rows = report["outputs"]["per_graph"]
+            per_method[method] = [(row["graph"], row["count"]) for row in rows]
+        dim = verlinde_dim(genus, k)
+        assert per_method["lattice"] == per_method["contract"]
+        assert {n for _, n in per_method["lattice"]} == {dim}
+
+
+def test_count_lattice_refuses_level_zero(capsys):
+    # The lattice route counts from level 1: at k = 0 the lattice (1/k)Z^E is undefined.
+    code, out, err = run_cli(capsys, "count", "--genus", "2", "--level", "0", "--method", "lattice")
+    assert (code, out) == (1, "")
+    assert err == "error: level must be at least 1\n"
+    assert cli.ROUTES["lattice"][1] == 1
+
+
+@pytest.mark.parametrize("command", ("count --genus 2 --level 2", "check --genus 2 --max-level 2"))
+@pytest.mark.parametrize("flag", ("--max-states", "--max-frontier"))
+@pytest.mark.parametrize("value", ("0", "-1"))
+def test_budget_flags_below_one_are_input_errors(capsys, command, flag, value):
+    argv = [*command.split(), flag, value]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {flag} must be at least 1\n")
+
+
 # ---------------------------------------------------------------------------
 # verlinde / check
 # ---------------------------------------------------------------------------
@@ -451,6 +490,66 @@ def test_check_budget_error_comes_before_the_lattice_pass(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err.startswith("error: frontier of 3 open edges") and "= 32 cells" in err
     assert calls == []
+
+
+def test_check_equals_the_checks_rebuilt_from_single_level_references(capsys):
+    # Each route once per graph over all its levels must emit exactly the
+    # checks that one call per level and graph gives, in the same order.
+    code, report, _ = run_json(capsys, "check", "--genus", "3", "--max-level", "4")
+    assert code == 0
+    graphs = cli._graphs_for(argparse.Namespace(genus=3))
+    expected = []
+    for k in range(5):
+        dim = verlinde_dim(3, k)
+        counts = {ident: weights.count_via_contraction(G, k) for ident, G in graphs}
+        expected.append(
+            {"name": f"graph-independence[k={k}]", "passed": True, "counts": counts}
+        )
+        expected.append(
+            {
+                "name": f"contraction-equals-verlinde[k={k}]",
+                "passed": True,
+                "verlinde": dim,
+                "counts": counts,
+            }
+        )
+        for ident, G in graphs:
+            # E = 6 at genus 3: (k+1)^6 fits the default state budget at k <= 4.
+            routes = {"brute": weights.count_admissible_bruteforce(G, k)}
+            if k >= 1:
+                routes["lattice"] = polytope.lattice_count(polytope.build_polytope(G), G, k)
+            for route, n in routes.items():
+                expected.append(
+                    {
+                        "name": f"{route}-equals-contraction[k={k},{ident}]",
+                        "passed": True,
+                        route: n,
+                        "contraction": counts[ident],
+                    }
+                )
+    assert report["checks"] == expected
+    assert len(expected) == 5 * 2 + 5 * len(graphs) + 4 * len(graphs)
+
+
+def test_check_reports_each_routes_counters(capsys):
+    # Contraction counters at the top level, the brute search's at its top
+    # admitted level, and none for the lattice route; two runs agree.
+    code, report, _ = run_json(capsys, "check", "--genus", "2", "--max-level", "3")
+    assert code == 0
+    graphs = cli._graphs_for(argparse.Namespace(genus=2))
+    want: dict = {"contract": {}, "brute": {}, "lattice": {}}
+    for ident, G in graphs:
+        weights.count_via_contraction(G, 3, stats=want["contract"].setdefault(ident, {}))
+        weights.count_admissible_bruteforce(G, 3, stats=want["brute"].setdefault(ident, {}))
+        want["lattice"][ident] = {}
+    assert report["outputs"]["stats"] == want
+    assert list(want["contract"]["theta"]) == [
+        "peak_cells", "int_from_merge", "plan_cost", "peak_union"
+    ]
+    assert list(want["brute"]["theta"]) == ["nodes", "pruned"]
+    assert run_json(capsys, "check", "--genus", "2", "--max-level", "3")[1]["outputs"] == (
+        report["outputs"]
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for admissible weights: validity, enumeration, and fast counting."""
 
 import random
+import re
 import sys
 from itertools import product
 from math import prod
@@ -310,9 +311,14 @@ def test_bruteforce_counts_leave_out_the_levels_past_the_budget():
     with pytest.raises(BudgetExceeded):
         count_admissible_bruteforce(G, 5)
     assert bruteforce_counts(G, range(7), max_states=5**9 - 1) == {k: got[k] for k in range(4)}
+    # With no level admitted, the lowest one is refused, before any search.
     stats: dict = {}
-    assert bruteforce_counts(G, range(7), max_states=0, stats=stats) == {}
+    message = "(k+1)^E = 1 exceeds the 0 state budget; use count_via_contraction instead"
+    with pytest.raises(BudgetExceeded, match=re.escape(message)):
+        bruteforce_counts(G, range(7), max_states=0, stats=stats)
     assert stats == {}
+    with pytest.raises(BudgetExceeded, match=re.escape("(k+1)^E = 19683 exceeds")):
+        bruteforce_counts(G, [3, 2], max_states=3**9 - 1)
 
 
 @pytest.mark.parametrize("k", (0, 1, 2, 4))
