@@ -11,7 +11,8 @@ sampling is exact: ``exact_volume`` integrates over facets on primitive
 integer rows, pruning the faces that opposite rows pin into a slab of zero
 width.  ``mc_volume`` draws a sample's coordinates vertex by vertex, in
 stages, and only while the sample is still inside, so a sample costs about
-four uniforms at any genus.
+four uniforms at any genus.  The CLI holds both to the closed form
+``moment_volume`` of every genus-g polytope, exactly and to 4 binomial sigma.
 
 The admissible weights of level k are exactly the points of (1/k)Z^E inside
 the polytope whose scaled coordinates j = k*c satisfy the per-vertex parity

@@ -151,7 +151,6 @@ def _check_state_budget(G: TrinionGraph, k: int, max_states: int) -> None:
 def _dfs_admissible(
     G: TrinionGraph,
     k: int,
-    floor: int,
     collect: bool,
     max_states: int,
     stats: dict | None = None,
@@ -180,22 +179,21 @@ def _dfs_admissible(
     being its labels; the last depth's progressions are counted, not
     materialised, unless ``collect`` lists them.
 
-    The one search at level k counts every level from ``floor`` to k.  A
+    The one search at level k counts every level from 0 to k.  A
     labeling admissible at level k is admissible at a level m <= k exactly
     when every vertex sum s_v is at most 2m: condition (3) already bounds
     each label by s_v / 2, hence by m.  So each labeling is counted once, at
     its least level max_v s_v / 2, and the count at level m sums those at
     levels up to m.  Each prefix carries ``mx``, the largest vertex sum
-    completed so far, from 2 * floor, which folds the levels below floor
-    into floor.  Label j completes the sums x + y + j, the largest of them
-    top + j, or the sum 2j + z; either is base + slope * j, which rises with
-    j, so a child takes the larger of its parent's mx and that sum.  At the
-    last depth the labels up to the split where it overtakes mx add their
-    number at mx's level, and the rest, one labeling per level of an
-    interval (top + j rises by 2 per step of 2, 2j + z by 2 per step of 1),
-    add a ramp to a difference array at its two ends.
+    completed so far, from 0.  Label j completes the sums x + y + j, the
+    largest of them top + j, or the sum 2j + z; either is base + slope * j,
+    which rises with j, so a child takes the larger of its parent's mx and
+    that sum.  At the last depth the labels up to the split where it
+    overtakes mx add their number at mx's level, and the rest, one labeling
+    per level of an interval (top + j rises by 2 per step of 2, 2j + z by 2
+    per step of 1), add a ramp to a difference array at its two ends.
 
-    Returns ({m: count} for m in floor..k, labels_list); labels_list is
+    Returns ({m: count} for m in 0..k, labels_list); labels_list is
     only populated when ``collect`` is set.  A ``stats`` dict, if given,
     receives ``nodes``, the prefixes whose progression was computed, and
     ``pruned``, those whose progression was empty.
@@ -280,7 +278,7 @@ def _dfs_admissible(
         return lo, step, cnt, carry
 
     # A prefix entering depth t holds t labels.
-    sliced_frontier(np.zeros((0, 1), dtype=np.int64), np.array([2 * floor]), admit, range(E))
+    sliced_frontier(np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64), admit, range(E))
 
     if stats is not None:
         stats["nodes"] = nodes
@@ -298,8 +296,7 @@ def _dfs_admissible(
     for m in range(k + 1):
         ramp += ramps[m]
         total += least[m] + ramp
-        if m >= floor:
-            counts[m] = total
+        counts[m] = total
     return counts, labelings
 
 
@@ -313,7 +310,7 @@ def enumerate_admissible(
     """
     if k < 0:
         raise ValueError("level must be non-negative")
-    _, found = _dfs_admissible(G, k, k, collect=True, max_states=max_states)
+    _, found = _dfs_admissible(G, k, collect=True, max_states=max_states)
     return [ThetaLabel._admitted(G, k, labels) for labels in found]
 
 
@@ -338,8 +335,8 @@ def bruteforce_counts(
     if not levels:
         return {}
     admitted = sorted(k for k in levels if (k + 1) ** G.edge_count <= max_states)
-    top, floor = max(admitted, default=min(levels)), min(levels)
-    counts, _ = _dfs_admissible(G, top, floor, collect=False, max_states=max_states, stats=stats)
+    top = max(admitted, default=min(levels))
+    counts, _ = _dfs_admissible(G, top, collect=False, max_states=max_states, stats=stats)
     return {k: counts[k] for k in admitted}
 
 

@@ -635,16 +635,60 @@ def test_polytope_volume_exact_equals_closed_form(capsys, genus, closed_form):
     assert check["passed"] and check["closed_form"] == closed_form
 
 
-def test_polytope_volume_mc_reproducible(capsys):
-    args = (
-        "polytope", "--genus", "2", "--mode", "volume-mc",
-        "--samples", "20000", "--seed", "9",
+def test_polytope_volume_mc_reproducible(capsys, monkeypatch):
+    # The reference is the closed form at every genus: exact_volume never runs.
+    def refuse(P, stats=None):
+        raise AssertionError("volume-mc called exact_volume")
+
+    monkeypatch.setattr(cli.polytope, "exact_volume", refuse)
+    for genus, seed, classes in ((2, 9, 2), (3, 9, 5), (4, 3, 17)):
+        args = (
+            "polytope", "--genus", str(genus), "--mode", "volume-mc",
+            "--samples", "20000", "--seed", str(seed),
+        )
+        code1, r1, _ = run_json(capsys, *args)
+        code2, r2, _ = run_json(capsys, *args)
+        assert code1 == code2 == 0
+        assert r1["outputs"] == r2["outputs"]
+        assert r1["checks"] == r2["checks"]
+        estimates = r1["outputs"]["estimates"]
+        assert [c["name"] for c in r1["checks"]] == [
+            f"mc-within-4-sigma[{e['graph']}]" for e in estimates
+        ]
+        assert len(estimates) == classes and all(c["passed"] for c in r1["checks"])
+        closed = polytope.moment_volume(genus)
+        sigma = (float(closed) * (1 - float(closed)) / 20_000) ** 0.5
+        for check, entry in zip(r1["checks"], estimates):
+            assert "exact" not in entry
+            assert check["closed_form"] == str(closed) and check["sigma"] == sigma
+            assert check["gap"] == abs(entry["estimate"] - float(closed)) <= 4 * sigma
+
+
+def test_polytope_volume_mc_checks_a_genus_10_graph_file(tmp_path, capsys):
+    # Hit-or-miss sees no sample inside a volume of 5.8e-7 at 10^5 samples,
+    # and 0.0 is within 4 sigma of it: a pass that says little, but a check.
+    path = tmp_path / "necklace.trinion.json"
+    save_graph(_necklace_graph(18), path)
+    code, report, _ = run_json(
+        capsys, "polytope", "--graph", str(path), "--mode", "volume-mc",
+        "--samples", "100000",
     )
-    code1, r1, _ = run_json(capsys, *args)
-    code2, r2, _ = run_json(capsys, *args)
-    assert code1 == code2 == 0
-    assert r1["outputs"] == r2["outputs"]
-    assert all(c["passed"] for c in r1["checks"])
+    assert code == 0
+    [entry] = report["outputs"]["estimates"]
+    assert entry["estimate"] == 0.0
+    [check] = report["checks"]
+    assert check["name"] == f"mc-within-4-sigma[{path}]" and check["passed"]
+    assert check["closed_form"] == str(polytope.moment_volume(10))
+
+
+def test_polytope_volume_mc_fails_against_a_wrong_closed_form(capsys, monkeypatch):
+    real = cli.polytope.moment_volume
+    monkeypatch.setattr(cli.polytope, "moment_volume", lambda g: real(g) * Fraction(3, 2))
+    code, _, err = run_cli(
+        capsys, "polytope", "--genus", "2", "--mode", "volume-mc", "--samples", "20000"
+    )
+    assert code == 1
+    assert err.startswith("failed checks: ")
 
 
 def test_polytope_volume_mc_reports_draws_and_stages(capsys):
