@@ -4,7 +4,7 @@ The package computes the same integer -- the rank of the level-k space of
 non-abelian theta functions on a genus-g surface -- by three independent
 routes and cross-validates them:
 
-* ``fusion``:   the su(2) fusion ring at level k and the Verlinde formula;
+* ``fusion``:   the Verlinde formula, exact as a polynomial in k+2;
 * ``weights``:  admissible integer edge weights on trinion dual graphs;
 * ``polytope``: lattice points of the Clebsch-Gordan moment polytope.
 
@@ -13,7 +13,7 @@ classical torus-fibration counts (theta characteristics and affine
 multisection intersections), and ``cli`` a command-line front end.
 """
 
-from verlinde_lab.fusion import clebsch_gordan, fusion_product, verlinde_dim
+from verlinde_lab.fusion import verlinde_dim
 from verlinde_lab.graph import (
     TrinionGraph,
     canonical_form,
@@ -49,11 +49,10 @@ __version__ = "0.1.0"
 __all__ = [
     "TrinionGraph",
     "asymptotic_table",
-    "bs_points",
     "bruteforce_counts",
+    "bs_points",
     "build_polytope",
     "canonical_form",
-    "clebsch_gordan",
     "count_admissible_bruteforce",
     "count_via_contraction",
     "dumbbell_graph",
@@ -61,7 +60,6 @@ __all__ = [
     "enumerate_admissible",
     "exact_volume",
     "fusion_move",
-    "fusion_product",
     "generate_genus_graphs",
     "gft_intersection_count",
     "is_admissible",

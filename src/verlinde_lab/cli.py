@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verlinde)
 
-    p = sub.add_parser("check", help="three-way reconciliation across all routes")
+    p = sub.add_parser("check", help="reconcile the Verlinde rank with every count route")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-level", type=int, required=True)
     _add_budgets(p)
@@ -464,8 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "abelian" and args.g is not None and args.level is None:
-        parser.error("abelian --g requires --level")
+    if args.subcommand == "abelian":
+        if args.g is not None and args.level is None:
+            parser.error("abelian --g requires --level")
+        if args.g is None and args.level is not None:
+            parser.error("abelian --multisection takes no --level")
     start = time.perf_counter()
     try:
         report: RunReport = args.func(args)

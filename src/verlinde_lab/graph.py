@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-#: canonical_form is exact brute-force minimization; cap the search size.
+#: canonical_form is an exact branch-and-bound search; cap the search size.
 MAX_CANONICAL_VERTICES = 12
 
 #: Genus range for whole-class generation (desk scale).

@@ -837,6 +837,18 @@ def test_abelian_requires_level_with_g(capsys):
         cli.main(["abelian", "--g", "2"])
 
 
+def test_abelian_multisection_rejects_level(tmp_path, capsys):
+    # The multisection count has no level: one given is refused, not echoed unused.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"g": 1, "components": [{"A": [[2]], "t": ["0"]}]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["abelian", "--multisection", str(path), "--level", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "abelian --multisection takes no --level" in captured.err
+
+
 def test_abelian_multisection_file(tmp_path, capsys):
     M = AffineMultisection(
         2,

@@ -1,206 +1,17 @@
-"""Tests for the level-k fusion ring, its Chebyshev image, and the Verlinde formula.
-
-The character of V_m at the point z is U_m(x) with x = 2cos z, and the
-level-k points are the roots of U_(k+1).  So the character tests here are
-exact identities in Z[x]/(U_(k+1)), with no precision and no tolerance.
-"""
+"""Tests for the Verlinde formula: its Bernoulli table and polynomial against
+mpmath references, its ranks against hand sums, high-precision sums and the
+contraction count, and its refusals."""
 
 import math
 from fractions import Fraction
-from itertools import product
 
 import mpmath as mp
 import pytest
 
 from verlinde_lab import fusion, graph
-from verlinde_lab.fusion import (
-    FusionElement,
-    basis_element,
-    bernoulli_numbers,
-    chebyshev_image,
-    chebyshev_product,
-    clebsch_gordan,
-    fusion_product,
-    verlinde_dim,
-    verlinde_polynomial,
-)
+from verlinde_lab.fusion import bernoulli_numbers, verlinde_dim, verlinde_polynomial
 from verlinde_lab.polytope import moment_volume
 from verlinde_lab.weights import count_via_contraction
-
-
-def test_clebsch_gordan_identity():
-    for m in range(8):
-        assert clebsch_gordan(0, m) == [m]
-        assert clebsch_gordan(m, 0) == [m]
-
-
-def test_clebsch_gordan_spin_half_pair():
-    assert clebsch_gordan(1, 1) == [0, 2]
-
-
-def test_clebsch_gordan_direct_expansion():
-    # Spins 1 and 3/2 combine to 1/2, 3/2, 5/2.
-    assert clebsch_gordan(2, 3) == [1, 3, 5]
-
-
-def test_clebsch_gordan_dimension_count():
-    # Total dimension is preserved: sum of (m+1) over summands = (m1+1)(m2+1).
-    for m1 in range(6):
-        for m2 in range(6):
-            dims = sum(m + 1 for m in clebsch_gordan(m1, m2))
-            assert dims == (m1 + 1) * (m2 + 1)
-
-
-def test_clebsch_gordan_rejects_negative():
-    with pytest.raises(ValueError):
-        clebsch_gordan(-1, 2)
-
-
-def _u(m: int) -> list[int]:
-    """U_m from its closed form sum_j (-1)^j C(m-j, j) x^(m-2j), independent
-    of the recurrence the package uses."""
-    out = [0] * (m + 1)
-    for j in range(m // 2 + 1):
-        out[m - 2 * j] = (-1) ** j * math.comb(m - j, j)
-    return out
-
-
-def _from_image(k: int, poly: list[int]) -> dict[int, int]:
-    """The ring element whose image is ``poly``, by back-substitution.
-
-    U_m is monic of degree m, so the images of V_0..V_k are triangular: the
-    top coefficient of what is left is the multiplicity of the top label.
-    """
-    rest, coeffs = list(poly), {}
-    for m in range(k, -1, -1):
-        c = rest[m]
-        if c:
-            coeffs[m] = c
-            for i, x in enumerate(_u(m)):
-                rest[i] -= c * x
-    assert not any(rest)
-    return coeffs
-
-
-@pytest.mark.parametrize("k", range(0, 7))
-def test_fusion_product_matches_character_oracle(k):
-    for m1 in range(k + 1):
-        for m2 in range(m1, k + 1):
-            a, b = basis_element(k, m1), basis_element(k, m2)
-            got = fusion_product(a, b)
-            assert got.coeffs == _from_image(k, chebyshev_product(a, b))
-
-
-def test_fusion_product_level_one():
-    got = fusion_product(basis_element(1, 1), basis_element(1, 1))
-    assert got.coeffs == {0: 1}
-
-
-def test_fusion_product_level_two():
-    got = fusion_product(basis_element(2, 1), basis_element(2, 1))
-    assert got.coeffs == {0: 1, 2: 1}
-
-
-def test_fusion_product_unit():
-    for k in range(5):
-        one = basis_element(k, 0)
-        for m in range(k + 1):
-            x = basis_element(k, m)
-            assert fusion_product(one, x) == x
-
-
-def test_fusion_product_level_mismatch():
-    with pytest.raises(ValueError, match="level mismatch"):
-        fusion_product(basis_element(1, 1), basis_element(2, 1))
-
-
-def test_fusion_element_drops_zero_coefficients():
-    assert FusionElement(3, {1: 0, 2: 2}).coeffs == {2: 2}
-
-
-def test_fusion_element_rejects_out_of_range_label():
-    with pytest.raises(ValueError):
-        FusionElement(2, {3: 1})
-
-
-@pytest.mark.parametrize("k", range(0, 9))
-def test_fusion_commutative_associative_exhaustive(k):
-    basis = [basis_element(k, m) for m in range(k + 1)]
-    for a, b in product(basis, repeat=2):
-        assert fusion_product(a, b) == fusion_product(b, a)
-    for a, b, c in product(basis, repeat=3):
-        left = fusion_product(fusion_product(a, b), c)
-        right = fusion_product(a, fusion_product(b, c))
-        assert left == right
-
-
-@pytest.mark.parametrize("k", range(0, 9))
-def test_chebyshev_image_of_each_label_is_u(k):
-    for m in range(k + 1):
-        assert chebyshev_image(basis_element(k, m)) == _u(m) + [0] * (k - m)
-    element = FusionElement(k, {m: m + 1 for m in range(k + 1)})
-    assert _from_image(k, chebyshev_image(element)) == element.coeffs
-
-
-def test_character_unit():
-    for k in range(5):
-        assert chebyshev_image(basis_element(k, 0)) == [1] + [0] * k
-
-
-def test_character_zero_of_ideal_generator_level_zero():
-    # At level 0 the ring is Z[x]/(x): U_1 = x itself vanishes.
-    assert fusion._reduce(0, [0, 1]) == [0]
-
-
-def test_character_sqrt_two():
-    # At level 2 the characters of V_1 are the roots 0, +-sqrt(2) of
-    # U_3 = x^3 - 2x, so V_1 cubed is 2 V_1 in the ring.
-    v1 = basis_element(2, 1)
-    assert chebyshev_product(v1, fusion_product(v1, v1)) == [0, 2, 0]
-    assert fusion_product(v1, fusion_product(v1, v1)) == FusionElement(2, {1: 2})
-
-
-@pytest.mark.parametrize("k", range(0, 9))
-def test_ideal_generator_character_vanishes(k):
-    assert fusion._reduce(k, _u(k + 1)) == [0] * (k + 1)
-    # Then U_(k+2) = x U_(k+1) - U_k is -U_k.
-    assert fusion._reduce(k, _u(k + 2)) == [-c for c in _u(k)]
-
-
-@pytest.mark.parametrize("k", range(0, 9))
-def test_character_homomorphism_residuals(k):
-    for m1 in range(k + 1):
-        for m2 in range(m1, k + 1):
-            a, b = basis_element(k, m1), basis_element(k, m2)
-            image = chebyshev_image(fusion_product(a, b))
-            assert [p - q for p, q in zip(image, chebyshev_product(a, b))] == [0] * (k + 1)
-
-
-@pytest.mark.parametrize("k", range(0, 9))
-def test_ring_identity_fails_for_a_wrong_product(k):
-    for m1 in range(k + 1):
-        for m2 in range(m1, k + 1):
-            a, b = basis_element(k, m1), basis_element(k, m2)
-            right = fusion_product(a, b)
-            for p in right.coeffs:
-                removed = FusionElement(k, {**right.coeffs, p: right[p] - 1})
-                assert chebyshev_image(removed) != chebyshev_product(a, b)
-            for p in range(k + 1):
-                added = right + basis_element(k, p)
-                assert chebyshev_image(added) != chebyshev_product(a, b)
-
-
-def test_character_homomorphism_unit_exact():
-    for k in (0, 1, 2, 5, 8):
-        one = basis_element(k, 0)
-        for m in range(k + 1):
-            x = basis_element(k, m)
-            assert chebyshev_product(one, x) == chebyshev_product(x, one) == chebyshev_image(x)
-
-
-def test_character_homomorphism_level_mismatch():
-    with pytest.raises(ValueError, match="level mismatch"):
-        chebyshev_product(basis_element(2, 1), basis_element(3, 1))
 
 
 def test_bernoulli_numbers_equal_mpmath():
@@ -266,6 +77,17 @@ def test_verlinde_dim_rejects_bad_input():
         verlinde_dim(1, 3)
     with pytest.raises(ValueError):
         verlinde_dim(2, -1)
+
+
+def test_verlinde_dim_rejects_negative_level_before_building_the_polynomial(monkeypatch):
+    # A cold polynomial costs about a second at genus 200, so a bad level
+    # must be refused first.
+    def unreachable(g):
+        raise AssertionError("verlinde_polynomial built for a negative level")
+
+    monkeypatch.setattr(fusion, "verlinde_polynomial", unreachable)
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        verlinde_dim(200, -1)
 
 
 # Ranks above 2^180, where a fixed 200-bit evaluation of the sum printed wrong
