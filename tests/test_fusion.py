@@ -1,9 +1,17 @@
 """Tests for the Verlinde formula: its Bernoulli table and polynomial against
 mpmath references, its ranks against hand sums, high-precision sums and the
-contraction count, and its refusals."""
+contraction count, and its refusals.
+
+First, the level-k fusion rules that every count route contracts: the
+coefficient N_ab^c is 1 exactly when ``weights.vertex_conditions_hold``
+admits (a, b, c).  They must make a commutative, associative ring whose
+characters are U_m(x) modulo U_(k+1), the Chebyshev polynomials of the
+second kind; these are exact identities in Z[x], with no tolerance.
+"""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -11,7 +19,73 @@ import pytest
 from verlinde_lab import fusion, graph
 from verlinde_lab.fusion import bernoulli_numbers, verlinde_dim, verlinde_polynomial
 from verlinde_lab.polytope import moment_volume
-from verlinde_lab.weights import count_via_contraction
+from verlinde_lab.weights import count_via_contraction, vertex_conditions_hold
+
+
+def _rules(k: int, a: int, b: int) -> dict[int, int]:
+    """V_a V_b in the level-k fusion ring, read from the vertex conditions."""
+    return {c: 1 for c in range(k + 1) if vertex_conditions_hold(k, (a, b, c))}
+
+
+def _u(m: int) -> list[int]:
+    """U_m from its closed form sum_j (-1)^j C(m-j, j) x^(m-2j)."""
+    out = [0] * (m + 1)
+    for j in range(m // 2 + 1):
+        out[m - 2 * j] = (-1) ** j * math.comb(m - j, j)
+    return out
+
+
+def _residual(k: int, a: int, b: int, coeffs: dict[int, int]) -> list[int]:
+    """U_a U_b - sum_c coeffs[c] U_c modulo U_(k+1), coefficients of x^0..x^k.
+
+    U_(k+1) is monic of degree k+1, so the division runs from the top term.
+    """
+    rest = [0] * (2 * k + 1)
+    for i, x in enumerate(_u(a)):
+        for j, y in enumerate(_u(b)):
+            rest[i + j] += x * y
+    for c, n in coeffs.items():
+        for i, x in enumerate(_u(c)):
+            rest[i] -= n * x
+    ideal = _u(k + 1)
+    for d in range(2 * k, k, -1):
+        if rest[d]:
+            top = rest[d]
+            for i, x in enumerate(ideal):
+                rest[d - k - 1 + i] -= top * x
+    return rest[: k + 1]
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_fusion_commutative_associative_exhaustive(k):
+    labels = range(k + 1)
+    for a, b, c in product(labels, repeat=3):
+        assert len({vertex_conditions_hold(k, t) for t in ((a, b, c), (b, a, c), (c, b, a))}) == 1
+    # (V_a V_b) V_c = V_a (V_b V_c): the count on a four-holed sphere is the
+    # same on either side of a fusion move.
+    for a, b, c, d in product(labels, repeat=4):
+        left = sum(_rules(k, a, b).get(e, 0) for e in labels if vertex_conditions_hold(k, (e, c, d)))
+        right = sum(_rules(k, b, c).get(f, 0) for f in labels if vertex_conditions_hold(k, (a, f, d)))
+        assert left == right, (a, b, c, d)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_character_homomorphism_residuals(k):
+    for a in range(k + 1):
+        for b in range(a, k + 1):
+            assert _residual(k, a, b, _rules(k, a, b)) == [0] * (k + 1), (a, b)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_ring_identity_fails_for_a_wrong_product(k):
+    # The residual pins the rules: one label too few or too many leaves one.
+    for a in range(k + 1):
+        for b in range(a, k + 1):
+            right = _rules(k, a, b)
+            for c in right:
+                assert any(_residual(k, a, b, {**right, c: 0})), (a, b, c)
+            for c in range(k + 1):
+                assert any(_residual(k, a, b, {**right, c: right.get(c, 0) + 1})), (a, b, c)
 
 
 def test_bernoulli_numbers_equal_mpmath():
