@@ -4,12 +4,12 @@ The polytope lives in [0,1]^E with one coordinate c_e per edge (c = j/k on
 the weight lattice).  Each vertex with incident labels (c_a, c_b, c_c) --
 loops doubled -- contributes the three triangle inequalities c_x <= c_y + c_z
 and the cap c_a + c_b + c_c <= 2; together with the box constraints this is
-the full H-representation, held as integer rows: a row given with rational
-entries is scaled by the lcm of its denominators when the polytope is made,
-so every route reads the one integer form.  Everything except Monte Carlo
-sampling is exact: ``exact_volume`` integrates over facets on primitive
-integer rows, pruning the faces that opposite rows pin into a slab of zero
-width.  ``mc_volume`` draws a sample's coordinates vertex by vertex, in
+the full H-representation, held as integer rows.  A polytope is made only
+in that shape, with a lower and an upper box row on every coordinate, so
+every route reads one integer form of a bounded region.  Everything except
+Monte Carlo sampling is exact: ``exact_volume`` integrates over facets on
+primitive integer rows, pruning the faces that opposite rows pin into a slab
+of zero width.  ``mc_volume`` draws a sample's coordinates vertex by vertex, in
 stages, and only while the sample is still inside, so a sample costs about
 four uniforms at any genus.  The CLI holds both to the closed form
 ``moment_volume`` of every genus-g polytope, exactly and to 4 binomial sigma.
@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -67,26 +67,34 @@ _LATTICE_INT_LIMIT = 2**62
 class ClebschGordanPolytope:
     """H-representation on integer rows: rows (a, b) meaning a . c <= b.
 
-    Rows may be given with rational entries; each such row is scaled by the
-    lcm of its denominators, so every stored entry is an ``int``, and a row
-    given in ``int`` is kept as it is.  Two polytopes whose rows differ only
-    by that scaling compare equal.
+    Every entry is an ``int``, every row reads at least one coordinate, and
+    every coordinate has a lower and an upper single-coordinate row, its
+    label box, so the rows bound the region.  Any other input raises
+    ValueError.
     """
 
     dim: int
     ineqs: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        rows = list(self.ineqs)
-        for i, (a, b) in enumerate(rows):
-            if len(a) != self.dim:
+        d = self.dim
+        lows, highs = set(), set()
+        for i, (a, b) in enumerate(self.ineqs):
+            if len(a) != d:
                 raise ValueError("inequality arity does not match dimension")
-            # A row of ints sums to an int; any Fraction entry makes it a Fraction.
-            if type(sum(a, b)) is not int:
-                scale = lcm(b.denominator, *(c.denominator for c in a))
-                a = tuple(c.numerator * (scale // c.denominator) for c in a)
-                rows[i] = (a, b.numerator * (scale // b.denominator))
-        object.__setattr__(self, "ineqs", tuple(rows))
+            # A row of ints sums to an int; a Fraction or float entry does not.
+            total = sum(a, b)
+            if type(total) is not int:
+                raise ValueError(f"inequality row {i} has an entry that is not an int")
+            zeros = a.count(0)
+            if zeros == d:
+                raise ValueError(f"inequality row {i} reads no coordinate")
+            if zeros == d - 1:
+                c = total - b  # the row's one nonzero coefficient
+                (highs if c > 0 else lows).add(a.index(c))
+        for e in range(d):
+            if e not in lows or e not in highs:
+                raise ValueError(f"coordinate {e} has no lower or no upper single-coordinate row")
 
 
 def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
@@ -125,16 +133,6 @@ def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
             a[e] = c
         rows.append((tuple(a), bound))
     return ClebschGordanPolytope(d, tuple(rows))
-
-
-def contains(P: ClebschGordanPolytope, point: tuple[Fraction, ...]) -> bool:
-    """Exact membership test."""
-    if len(point) != P.dim:
-        raise ValueError(f"point has {len(point)} coordinates, polytope is {P.dim}-dimensional")
-    for a, b in P.ineqs:
-        if sum(ai * xi for ai, xi in zip(a, point)) > b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -183,44 +181,8 @@ def _normalize_rows(rows) -> tuple | None:
     return tuple(sorted(out))
 
 
-def _has_recession(rows, dim: int) -> bool:
-    """Whether a . d <= 0 for every row (a, b) has a solution d != 0.
-
-    Fourier-Motzkin on the homogeneous integer rows, one coordinate at a
-    time.  Its projection onto the live coordinates is the projection of the
-    cone {d : A d <= 0}; that cone is nonzero exactly when, at some step, the
-    coordinate about to go has coefficients of one sign only, for then a
-    unit step along it stays in the projected cone.  Combined rows are kept
-    primitive and deduplicated, and by Chernikov's rule a row combined from
-    more than t + 1 input rows after t eliminations is implied by the
-    others and dropped.
-    """
-    system: dict[tuple[int, ...], frozenset] = {}
-    for n, (a, _) in enumerate(rows):
-        system.setdefault(tuple(a), frozenset([n]))
-    for t in range(dim):
-        pos = [a for a in system if a[t] > 0]
-        neg = [a for a in system if a[t] < 0]
-        if not pos or not neg:
-            return True
-        kept = {a: h for a, h in system.items() if a[t] == 0}
-        for p in pos:
-            for q in neg:
-                history = system[p] | system[q]
-                if len(history) > t + 2:
-                    continue
-                c = [-q[t] * x + p[t] * y for x, y in zip(p, q)]
-                m = gcd(*c)
-                if m:
-                    c = tuple([x // m for x in c])
-                    if c not in kept or len(history) < len(kept[c]):
-                        kept[c] = history
-        system = kept
-    return False
-
-
 def _interval_length(rows) -> Fraction:
-    """Length of a normalised 1-D system: a bounded region leaves two rows."""
+    """Length of a normalised 1-D system: the box leaves a lower and an upper row."""
     ((lo_a,), lo_b), ((hi_a,), hi_b) = rows
     return Fraction(hi_b, hi_a) + Fraction(lo_b, -lo_a)
 
@@ -244,12 +206,10 @@ def _substitute(rows, facet_row, pivot: int):
 def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fraction:
     """Exact Euclidean volume; 0 for degenerate (lower-dimensional) input.
 
-    Raises BudgetExceeded past ``MAX_EXACT_DIMENSION``, and ValueError when
-    the rows bound no region: when a . d <= 0 for every row has a solution
-    d != 0, whatever the right-hand sides, so an empty region with unbounded
-    rows is refused as well.  That is decided once per call by
-    ``_has_recession``; every face of a region it passes is bounded too, so
-    each 1-D face ends in two rows.
+    Raises BudgetExceeded past ``MAX_EXACT_DIMENSION``.  The label box
+    bounds the region, and eliminating a coordinate only rescales the box
+    rows of the others, so every face keeps a box and each 1-D face ends in
+    two rows.
 
     A ``stats`` dict, if given, receives ``memo_entries``, the faces
     integrated, and ``faces_pruned``, the empty or zero-width faces that
@@ -260,8 +220,6 @@ def exact_volume(P: ClebschGordanPolytope, stats: dict | None = None) -> Fractio
             f"exact_volume supports dimension <= {MAX_EXACT_DIMENSION} "
             f"(got {P.dim}); use mc_volume"
         )
-    if _has_recession(P.ineqs, P.dim):
-        raise ValueError("polytope is unbounded: its rows admit a recession direction")
     memo: dict = {}
     pruned = 0
 
@@ -299,8 +257,7 @@ def mc_volume(
     row whose positive coefficients sum to at most b holds at every point of
     [0,1)^dim, so skipping it changes no hit.  The test is made exactly, on
     the integer rows; for a moment polytope it drops the box rows.  A
-    polytope with no cut row (the unit box) estimates 1.0, and one with a
-    cut row that reads no coordinate (0 <= b < 0) estimates 0.0.
+    polytope with no cut row (the unit box) estimates 1.0.
 
     A sample's coordinates are drawn stage by stage, and only while it is
     still inside.  Taking the cut rows in row order, each one that reads
@@ -328,11 +285,6 @@ def mc_volume(
         for a, b in P.ineqs
         if sum(c for c in a if c > 0) > b
     ]
-    if not all(support for *_, support in cut):
-        # A cut row that reads no coordinate, 0 <= b < 0, fails everywhere.
-        if stats is not None:
-            stats.update(draws=0, stages=0)
-        return 0.0, 0.0
     pos: dict[int, int] = {}  # coordinate -> its place in draw order
     ends: list[int] = []  # per stage, the coordinates drawn through it
     tested: list[list] = []  # per stage, the rows it tests
@@ -414,8 +366,8 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     every requested level share that frontier: each carries its level's
     index, so the graph's rows, edge order and parity plan are read once
     for all levels.  Each coordinate's labels lie in the box that P's
-    single-coordinate rows give it at that level; a coordinate without both
-    a lower and an upper such row raises ValueError.  At coordinate t the
+    single-coordinate rows give it at that level; construction requires a
+    lower and an upper such row on every coordinate.  At coordinate t the
     labels a partial point admits form an interval, read from the rows with
     a nonzero coefficient at t and the least the later coordinates can add
     to each row within their boxes at the point's level; the vertices
@@ -447,23 +399,14 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
         if len(sup) == 1:
             e, c = sup[0]
             (highs if c > 0 else lows)[e].append((c, ib))
-    for e in range(d):
-        if not lows[e] or not highs[e]:
-            raise ValueError(
-                f"coordinate {e} has no lower or no upper single-coordinate row; "
-                "lattice_counts reads each label box from those rows"
-            )
     box_lo, box_hi = [], []
     for k in ks:
         lo = [max(-(ib * k // -c) for c, ib in rows) for rows in lows]
         hi = [min(ib * k // c for c, ib in rows) for rows in highs]
         reach = [max(abs(x), abs(y)) for x, y in zip(lo, hi)]
         magnitude = max(
-            (
-                sum(abs(c) * reach[e] for e, c in sup) + abs(ib * k)
-                for (_, ib), sup in zip(P.ineqs, support)
-            ),
-            default=0,
+            sum(abs(c) * reach[e] for e, c in sup) + abs(ib * k)
+            for (_, ib), sup in zip(P.ineqs, support)
         )
         if magnitude >= _LATTICE_INT_LIMIT:
             raise ValueError(
@@ -472,21 +415,15 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
             )
         box_lo.append(lo)
         box_hi.append(hi)
-    # A row with no coefficients never bounds a coordinate; check it once.
-    if any(ib < 0 for (_, ib), sup in zip(P.ineqs, support) if not sup):
-        return [0] * len(levels)
-    rows = [row for row, sup in zip(P.ineqs, support) if sup]
     order = connected_edge_order(G)
     # Rows A . j <= B[level] over the integer labels j, columns in edge order.
-    A = np.array([[ia[e] for e in order] for ia, _ in rows], dtype=np.int64)
-    A = A.reshape(-1, d)
-    B = np.array([[ib * k for _, ib in rows] for k in ks], dtype=np.int64)
-    B = B.reshape(len(ks), -1)
+    A = np.array([[ia[e] for e in order] for ia, _ in P.ineqs], dtype=np.int64)
+    B = np.array([[ib * k for _, ib in P.ineqs] for k in ks], dtype=np.int64)
     lo_t = np.array(box_lo, dtype=np.int64)[:, order]
     hi_t = np.array(box_hi, dtype=np.int64)[:, order]
     # min_rest[level, row, t]: least contribution of the coordinates at t and after.
     least = np.minimum(A * lo_t[:, None, :], A * hi_t[:, None, :])
-    min_rest = np.zeros((len(ks), len(rows), d + 1), dtype=np.int64)
+    min_rest = np.zeros((len(ks), len(P.ineqs), d + 1), dtype=np.int64)
     min_rest[:, :, :d] = np.cumsum(least[:, :, ::-1], axis=2)[:, :, ::-1]
     odd, even = _parity_plan(G, order)
     # Per coordinate, its rows with positive coefficients first: the earlier
@@ -658,37 +595,3 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
         leading_coefficient=count_polynomial[d],
         count_polynomial=count_polynomial,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def to_json_dict(P: ClebschGordanPolytope) -> dict:
-    """Polytope JSON: {"dim": d, "ineqs": [[a_1..a_d, b], ...]}, integers as strings."""
-    return {
-        "dim": P.dim,
-        "ineqs": [[str(c) for c in (*a, b)] for a, b in P.ineqs],
-    }
-
-
-def from_json_dict(data: dict) -> ClebschGordanPolytope:
-    """Parse polytope JSON, rows of rational strings (or ints), each row then
-    scaled to integers; any other shape raises ValueError."""
-    if not isinstance(data, dict) or type(data.get("dim")) is not int or data["dim"] < 0:
-        raise ValueError('polytope JSON needs a non-negative integer "dim" field')
-    d, rows = data["dim"], data.get("ineqs")
-    if not isinstance(rows, list):
-        raise ValueError('polytope JSON needs an "ineqs" list of rows')
-    ineqs = []
-    for row in rows:
-        shaped = isinstance(row, list) and len(row) == d + 1
-        if not shaped or not all(type(s) in (str, int) for s in row):
-            raise ValueError(f"inequality row needs {d + 1} rational strings, got {row!r}")
-        try:
-            vals = [Fraction(s) for s in row]
-        except ZeroDivisionError:
-            raise ValueError(f"inequality entry with zero denominator in {row!r}") from None
-        ineqs.append((tuple(vals[:d]), vals[d]))
-    return ClebschGordanPolytope(d, tuple(ineqs))

@@ -2,11 +2,15 @@
 mpmath references, its ranks against hand sums, high-precision sums and the
 contraction count, and its refusals.
 
-First, the level-k fusion rules that every count route contracts: the
-coefficient N_ab^c is 1 exactly when ``weights.vertex_conditions_hold``
-admits (a, b, c).  They must make a commutative, associative ring whose
-characters are U_m(x) modulo U_(k+1), the Chebyshev polynomials of the
-second kind; these are exact identities in Z[x], with no tolerance.
+First, the level-k fusion rules that ``weights.vertex_conditions_hold``
+states: the coefficient N_ab^c is 1 exactly when it admits (a, b, c).  Only
+``weights.is_admissible``, and through it ``ThetaLabel``, calls that
+function; no count route runs it, for the contraction, brute force and
+lattice points each build their own rule, so these tests certify the rule a
+single labelling is checked against.  The rules must make a commutative,
+associative ring whose characters are U_m(x) modulo U_(k+1), the Chebyshev
+polynomials of the second kind; these are exact identities in Z[x], with no
+tolerance.
 """
 
 import math

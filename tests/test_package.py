@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import verlinde_lab
-from verlinde_lab import fusion
+from verlinde_lab import fusion, polytope
 
 #: Names of the level-k fusion ring that ``fusion`` no longer has.  Each is
 #: split in two so that a text search of the tree for them finds none here.
@@ -13,6 +13,16 @@ REMOVED_NAMES = (
     "clebsch" "_gordan",
     "basis" "_element",
     "chebyshev" "_",
+)
+
+#: Names of the generic-polytope surface that ``polytope`` no longer has,
+#: split in two the same way.  Other modules keep a ``to_json_dict`` and a
+#: ``from_json_dict``, so only the last is searched for as text.
+REMOVED_POLYTOPE_NAMES = (
+    "con" "tains",
+    "to_json" "_dict",
+    "from_json" "_dict",
+    "_has" "_recession",
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +44,12 @@ def test_removed_ring_names_appear_nowhere():
             text = path.read_text()
             for name in REMOVED_NAMES:
                 assert name not in text, f"{path.relative_to(ROOT)} names {name}"
+
+
+def test_removed_polytope_names_appear_nowhere():
+    for name in REMOVED_POLYTOPE_NAMES:
+        assert not hasattr(polytope, name), name
+    name = REMOVED_POLYTOPE_NAMES[-1]
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            assert name not in path.read_text(), f"{path.relative_to(ROOT)} names {name}"

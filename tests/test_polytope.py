@@ -1,12 +1,10 @@
 """Tests for the moment polytope: H-rep, exact volume, lattice counts, asymptotics."""
 
-import json
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 import numpy as np
 import pytest
@@ -19,14 +17,11 @@ from verlinde_lab.polytope import (
     ClebschGordanPolytope,
     asymptotic_table,
     build_polytope,
-    contains,
     exact_volume,
-    from_json_dict,
     lattice_count,
     lattice_counts,
     mc_volume,
     moment_volume,
-    to_json_dict,
 )
 from verlinde_lab.weights import (
     count_admissible_bruteforce,
@@ -41,19 +36,24 @@ DUMBBELL = dumbbell_graph()
 def _box(d: int) -> ClebschGordanPolytope:
     rows = []
     for e in range(d):
-        rows.append((tuple(Fraction(-1 if i == e else 0) for i in range(d)), Fraction(0)))
-        rows.append((tuple(Fraction(1 if i == e else 0) for i in range(d)), Fraction(1)))
+        rows.append((tuple(-1 if i == e else 0 for i in range(d)), 0))
+        rows.append((tuple(1 if i == e else 0 for i in range(d)), 1))
     return ClebschGordanPolytope(d, tuple(rows))
 
 
 def _simplex(d: int) -> ClebschGordanPolytope:
     rows = list(_box(d).ineqs)
-    rows.append((tuple(Fraction(1) for _ in range(d)), Fraction(1)))
+    rows.append(((1,) * d, 1))
     return ClebschGordanPolytope(d, tuple(rows))
 
 
+def _inside(P: ClebschGordanPolytope, point) -> bool:
+    """Exact membership of a point of Fractions: every row a . c <= b holds."""
+    return all(sum(x * c for x, c in zip(a, point)) <= b for a, b in P.ineqs)
+
+
 # ---------------------------------------------------------------------------
-# Construction and membership
+# Construction
 # ---------------------------------------------------------------------------
 
 
@@ -64,11 +64,10 @@ def test_build_theta_rows():
     # the first exactly and is deduplicated.
     assert len(P.ineqs) == 10
     rows = set(P.ineqs)
-    f = Fraction
-    assert ((f(1), f(-1), f(-1)), f(0)) in rows
-    assert ((f(-1), f(1), f(-1)), f(0)) in rows
-    assert ((f(-1), f(-1), f(1)), f(0)) in rows
-    assert ((f(1), f(1), f(1)), f(2)) in rows
+    assert ((1, -1, -1), 0) in rows
+    assert ((-1, 1, -1), 0) in rows
+    assert ((-1, -1, 1), 0) in rows
+    assert ((1, 1, 1), 2) in rows
 
 
 def test_build_dumbbell_rows():
@@ -76,31 +75,32 @@ def test_build_dumbbell_rows():
     # the doubled-loop caps 2*loop + bridge <= 2.
     P = build_polytope(DUMBBELL)
     rows = set(P.ineqs)
-    f = Fraction
-    assert ((f(-2), f(1), f(0)), f(0)) in rows
-    assert ((f(0), f(1), f(-2)), f(0)) in rows
-    assert ((f(2), f(1), f(0)), f(2)) in rows
-    assert ((f(0), f(1), f(2)), f(2)) in rows
+    assert ((-2, 1, 0), 0) in rows
+    assert ((0, 1, -2), 0) in rows
+    assert ((2, 1, 0), 2) in rows
+    assert ((0, 1, 2), 2) in rows
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_origin_inside_every_polytope(g):
     for G in generate_genus_graphs(g):
         P = build_polytope(G)
-        assert contains(P, tuple(Fraction(0) for _ in range(P.dim)))
+        assert _inside(P, (0,) * P.dim)
 
 
-def test_contains_theta_points():
-    P = build_polytope(THETA)
-    f = Fraction
-    assert contains(P, (f(1), f(1), f(0)))
-    assert not contains(P, (f(1), f(0), f(0)))  # violates c1 <= c2 + c3
-    assert contains(P, (f(1, 2), f(1, 3), f(1, 4)))
-
-
-def test_contains_dimension_mismatch():
-    with pytest.raises(ValueError):
-        contains(build_polytope(THETA), (Fraction(0), Fraction(0)))
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        (((Fraction(1, 3), 0), 1), "not an int"),
+        (((0, 0), 1), "reads no coordinate"),
+        (((1, 1, 1), 2), "arity"),
+    ],
+    ids=["fraction-entry", "all-zero-row", "wrong-arity"],
+)
+def test_construction_refuses_a_row_of_another_shape(row, match):
+    # The unit square's box rows are all in place; only the one row is wrong.
+    with pytest.raises(ValueError, match=match):
+        ClebschGordanPolytope(2, (*_box(2).ineqs, row))
 
 
 def test_build_deterministic():
@@ -108,12 +108,12 @@ def test_build_deterministic():
 
 
 def _dense_build_polytope(G) -> ClebschGordanPolytope:
-    """The rows of ``build_polytope``, deduplicated as dense Fraction tuples."""
+    """The rows of ``build_polytope``, deduplicated as dense tuples."""
     d = G.edge_count
     rows, seen = [], set()
 
     def add(coeffs, bound):
-        row = (tuple(Fraction(coeffs.get(i, 0)) for i in range(d)), Fraction(bound))
+        row = (tuple(coeffs.get(i, 0) for i in range(d)), bound)
         if row not in seen:
             seen.add(row)
             rows.append(row)
@@ -136,12 +136,10 @@ def _dense_build_polytope(G) -> ClebschGordanPolytope:
     return ClebschGordanPolytope(d, tuple(rows))
 
 
-def test_build_rows_and_json_match_the_dense_construction():
+def test_build_rows_match_the_dense_construction():
     graphs = [G for g in (2, 3, 4) for G in generate_genus_graphs(g)]
     for G in (*graphs, graph._necklace_graph(38)):
-        P, expected = build_polytope(G), _dense_build_polytope(G)
-        assert P.ineqs == expected.ineqs
-        assert json.dumps(to_json_dict(P)) == json.dumps(to_json_dict(expected))
+        assert build_polytope(G).ineqs == _dense_build_polytope(G).ineqs
 
 
 def test_build_polytope_makes_no_fraction(monkeypatch):
@@ -220,7 +218,7 @@ def _vertices(P: ClebschGordanPolytope) -> set[tuple[Fraction, ...]]:
         point = [Fraction(0)] * d
         for i, c in enumerate(cols):
             point[c] = mat[i][d]
-        if contains(P, tuple(point)):
+        if _inside(P, point):
             vertices.add(tuple(point))
     return vertices
 
@@ -255,47 +253,53 @@ def test_volume_independent_of_row_order():
 
 def test_volume_degenerate_is_zero():
     rows = list(_box(3).ineqs)
-    rows.append((tuple(Fraction(x) for x in (1, 0, 0)), Fraction(0)))  # x <= 0 slab
+    rows.append(((1, 0, 0), 0))  # x <= 0 slab
     assert exact_volume(ClebschGordanPolytope(3, tuple(rows))) == 0
 
 
 def test_volume_empty_is_zero():
     rows = list(_box(2).ineqs)
-    rows.append((tuple(Fraction(x) for x in (-1, 0)), Fraction(-2)))  # x >= 2
+    rows.append(((-1, 0), -2))  # x >= 2
     assert exact_volume(ClebschGordanPolytope(2, tuple(rows))) == 0
 
 
 def test_volume_unbounded_is_an_error():
-    f = Fraction
-    # The cone {x >= 0, y >= 0}: every row passes through the origin, so no
-    # facet is integrated and no 1-D face is ever reached.
-    cone = (((f(-1), f(0)), f(0)), ((f(0), f(-1)), f(0)))
-    # The strip 0 <= x <= 1, y >= 1, and the empty strip 1 <= x <= 0, y >= 0:
-    # rows that bound no region are refused whatever their right-hand sides.
-    strip = (((f(-1), f(0)), f(0)), ((f(1), f(0)), f(1)), ((f(0), f(-1)), f(-1)))
-    empty_strip = (((f(-1), f(0)), f(-1)), ((f(1), f(0)), f(0)), ((f(0), f(-1)), f(0)))
+    # The cone {x >= 0, y >= 0}, the strip 0 <= x <= 1, y >= 1, and the
+    # empty strip 1 <= x <= 0, y >= 0 each leave y without an upper box row:
+    # rows that bound no region are refused when the polytope is made,
+    # whatever their right-hand sides.
+    cone = (((-1, 0), 0), ((0, -1), 0))
+    strip = (((-1, 0), 0), ((1, 0), 1), ((0, -1), -1))
+    empty_strip = (((-1, 0), -1), ((1, 0), 0), ((0, -1), 0))
     for rows in (cone, strip, empty_strip):
-        with pytest.raises(ValueError, match="unbounded"):
-            exact_volume(ClebschGordanPolytope(2, rows))
-    # One more row closes the cone into a triangle.
-    triangle = (*cone, ((f(1), f(1)), f(1)))
+        with pytest.raises(ValueError, match="single-coordinate"):
+            ClebschGordanPolytope(2, rows)
+    # The box closes the cone, and one more row cuts it to a triangle.
+    triangle = (*cone, ((1, 0), 1), ((0, 1), 1), ((1, 1), 1))
     assert exact_volume(ClebschGordanPolytope(2, triangle)) == Fraction(1, 2)
+
+
+#: The random cuts below have rational entries whose denominators divide 36;
+#: each is written as its integer row times 36.
+_CUT_SCALE = 36
 
 
 def _random_rows(rng: random.Random, d: int) -> tuple:
     """The unit box, random rational cuts, and some opposite row pairs that
     leave a slab of positive, zero or negative width; rows shuffled."""
-    f = Fraction
+    n = _CUT_SCALE
     rows = list(_box(d).ineqs)
     for _ in range(rng.randint(1, 3)):
-        a = tuple(f(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
-        b = f(rng.randint(-1, 4), rng.randint(1, 4))
+        # Entries p/q, q in 1..3, and bound p/q, q in 1..4, all times n.
+        a = tuple(rng.randint(-3, 3) * n // rng.randint(1, 3) for _ in range(d))
+        b = rng.randint(-1, 4) * n // rng.randint(1, 4)
         rows.append((a, b))
         if rng.random() < 0.4:
-            # -s*a . x <= -s*b + w: a slab of width w / s against the cut.
-            s = rng.choice((1, 2, f(1, 3)))
-            w = rng.choice((-1, 0, 0, 1)) * f(1, rng.randint(1, 3))
-            rows.append((tuple(-s * c for c in a), -s * b + w))
+            # -s*a . x <= -s*b + w: a slab of width w / s against the cut,
+            # with s in {1, 2, 1/3} and w = 0 or +-1/q, q in 1..3, times n.
+            s, t = rng.choice(((1, 1), (2, 1), (1, 3)))
+            w = rng.choice((-1, 0, 0, 1)) * n // rng.randint(1, 3)
+            rows.append((tuple(-s * c // t for c in a), -s * b // t + w))
     rng.shuffle(rows)
     return tuple(rows)
 
@@ -321,10 +325,9 @@ def test_volume_random_polytopes_against_hull_oracle():
 
 
 def test_volume_zero_width_slab_is_pruned():
-    # 2x <= 1 and -x <= -1/2 pin x = 1/2 through rows of different scale.
-    f = Fraction
+    # 4x <= 2 and -2x <= -1 pin x = 1/2 through rows of different scale.
     rows = list(_box(3).ineqs)
-    rows += [((f(2), f(0), f(0)), f(1)), ((f(-1), f(0), f(0)), f(-1, 2))]
+    rows += [((4, 0, 0), 2), ((-2, 0, 0), -1)]
     stats: dict = {}
     assert exact_volume(ClebschGordanPolytope(3, tuple(rows)), stats) == 0
     assert stats == {"memo_entries": 0, "faces_pruned": 1}
@@ -430,24 +433,28 @@ def test_mc_equals_row_major_reference_on_every_class(g):
         assert mc_volume(P, samples, 100 * g + i) == _mc_volume_row_major(P, samples, 100 * g + i)
 
 
-_BOX_ROWS_2D = [["-1", "0", "0"], ["0", "-1", "0"], ["1", "0", "1"], ["0", "1", "1"]]
-
-_JSON_EXTRA_ROWS = [
-    [["2", "0", "1"]],  # 2c_0 <= 1: the cube does not imply it
-    [["1/3", "1", "1"]],  # positive part 4/3 > 1
-    [["1", "1", "2"]],  # c_0 + c_1 <= 2: implied
-    [["1/3", "1/3", "1"], ["1", "-1", "1"]],  # implied, with a 1/3 coefficient
-    [["2", "0", "1"], ["1", "1", "2"], ["1/3", "1", "1"], ["-1", "1", "1/2"]],
+#: Cuts of the unit square; a rational cut is written as its integer row
+#: times the lcm of its denominators.
+_EXTRA_ROWS = [
+    [((2, 0), 1)],  # 2c_0 <= 1: the cube does not imply it
+    [((1, 3), 3)],  # c_0/3 + c_1 <= 1: positive part 4/3 > 1
+    [((1, 1), 2)],  # c_0 + c_1 <= 2: implied
+    [((1, 1), 3), ((1, -1), 1)],  # implied, c_0/3 + c_1/3 <= 1 among them
+    [((2, 0), 1), ((1, 1), 2), ((1, 3), 3), ((-2, 2), 1)],
     [],  # the box alone: every row is skipped
     # Two tested rows, and c_0 + c_1 <= -1, the first, fails on the whole
     # cube: no sample survives mc_volume's first stage.
-    [["1", "1", "-1"], ["2", "0", "1"]],
+    [((1, 1), -1), ((2, 0), 1)],
 ]
 
 
-@pytest.mark.parametrize("extra", _JSON_EXTRA_ROWS)
-def test_mc_equals_row_major_reference_on_json_rows(extra):
-    P = from_json_dict({"dim": 2, "ineqs": _BOX_ROWS_2D + extra})
+def _square_with(extra) -> ClebschGordanPolytope:
+    return ClebschGordanPolytope(2, (*_box(2).ineqs, *extra))
+
+
+@pytest.mark.parametrize("extra", _EXTRA_ROWS)
+def test_mc_equals_row_major_reference_on_cut_squares(extra):
+    P = _square_with(extra)
     for seed in (0, 1, 2):
         assert mc_volume(P, 20_000, seed) == _mc_volume_row_major(P, 20_000, seed)
 
@@ -455,7 +462,7 @@ def test_mc_equals_row_major_reference_on_json_rows(extra):
 def _slicing_cases():
     graphs = [THETA, DUMBBELL, *generate_genus_graphs(3), *generate_genus_graphs(4)[::16]]
     yield from (build_polytope(G) for G in graphs)
-    yield from (from_json_dict({"dim": 2, "ineqs": _BOX_ROWS_2D + e}) for e in _JSON_EXTRA_ROWS)
+    yield from (_square_with(extra) for extra in _EXTRA_ROWS)
     yield _box(3)  # no tested row: every sample hits
     yield _simplex(3)  # one tested row: one stage draws all three coordinates
 
@@ -491,9 +498,7 @@ def test_mc_memory_is_bounded_by_the_cell_budget(V):
 #: draws c_1 for the 99 % of samples the first row keeps.  Were the stages to
 #: share one stream, the i-th survivor's c_1 would be the i-th sample's c_0,
 #: which is its own c_0 until the first sample is rejected.
-_TWO_STAGES = from_json_dict(
-    {"dim": 2, "ineqs": _BOX_ROWS_2D + [["1", "0", "99/100"], ["-1", "1", "0"]]}
-)
+_TWO_STAGES = _square_with([((100, 0), 99), ((-1, 1), 0)])
 
 
 @pytest.mark.parametrize(
@@ -519,16 +524,7 @@ def _mc_stats(P, samples=2_000, seed=3):
 
 def test_mc_degenerate_inputs():
     # No coordinate and no row: the one point of [0,1)^0 is inside.
-    assert _mc_stats(from_json_dict({"dim": 0, "ineqs": []})) == (
-        (1.0, 0.0),
-        {"draws": 0, "stages": 0},
-    )
-    # A row 0 <= -1 fails everywhere, whatever else the rows say.
-    for P in (
-        from_json_dict({"dim": 0, "ineqs": [["-1"]]}),
-        from_json_dict({"dim": 2, "ineqs": [["2", "0", "1"], ["0", "0", "-1"]]}),
-    ):
-        assert _mc_stats(P) == ((0.0, 0.0), {"draws": 0, "stages": 0})
+    assert _mc_stats(ClebschGordanPolytope(0, ())) == ((1.0, 0.0), {"draws": 0, "stages": 0})
     # The box alone tests no row, so it draws nothing.
     assert _mc_stats(_box(3)) == ((1.0, 0.0), {"draws": 0, "stages": 0})
     (est, se), stats = _mc_stats(_simplex(3))
@@ -536,8 +532,8 @@ def test_mc_degenerate_inputs():
     assert abs(est - 1 / 6) <= 4 * se
     # A first cut row that reads every coordinate draws them all at once;
     # the later rows then read nothing new and open no stage.
-    rows = [["1", "1", "1", "1", "2"], ["1", "-1", "0", "0", "0"], ["0", "0", "1", "1", "1"]]
-    dense = from_json_dict({"dim": 4, "ineqs": rows})
+    rows = [((1, 1, 1, 1), 2), ((1, -1, 0, 0), 0), ((0, 0, 1, 1), 1)]
+    dense = ClebschGordanPolytope(4, (*_box(4).ineqs, *rows))
     assert _mc_stats(dense)[1] == {"draws": 4 * 2_000, "stages": 1}
 
 
@@ -549,46 +545,6 @@ def test_mc_draws_per_sample_stay_flat_in_genus(g):
     _, stats = _mc_stats(P, samples=50_000)
     assert stats["stages"] == (1 if g == 2 else 2 * g - 3)
     assert 3 * 50_000 <= stats["draws"] < 4.5 * 50_000
-
-
-def test_integer_rows_scale_each_row_and_are_cached():
-    P = from_json_dict({"dim": 2, "ineqs": [["1/3", "1/2", "1"], ["-2", "0", "0"]]})
-    assert P.ineqs == (((2, 3), 6), ((-2, 0), 0))
-    assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
-    # The JSON round trip writes the scaled rows and reads an equal polytope.
-    assert to_json_dict(P)["ineqs"] == [["2", "3", "6"], ["-2", "0", "0"]]
-    assert from_json_dict(json.loads(json.dumps(to_json_dict(P)))) == P
-
-
-def _integer_rows_dense(rows):
-    """Every entry of every row scaled as a Fraction: the reference form."""
-    out = []
-    for a, b in rows:
-        scale = lcm(*(f.denominator for f in (*a, b)))
-        out.append((tuple(int(f * scale) for f in a), int(b * scale)))
-    return tuple(out)
-
-
-@pytest.mark.parametrize("g", [2, 3, 4])
-def test_integer_rows_equal_the_dense_scaling_on_every_class(g):
-    for G in generate_genus_graphs(g):
-        P = build_polytope(G)
-        assert P.ineqs == _integer_rows_dense(P.ineqs)
-        assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
-        Q = from_json_dict(json.loads(json.dumps(to_json_dict(P))))
-        assert Q.ineqs == P.ineqs
-        assert Q == P and hash(Q) == hash(P)
-
-
-def test_integer_rows_equal_the_dense_scaling_on_random_polytopes():
-    rng = random.Random(7)
-    for i in range(60):
-        d = 2 + i % 4
-        rows = _random_rows(rng, d)
-        P = ClebschGordanPolytope(d, rows)
-        assert P.ineqs == _integer_rows_dense(rows)
-        assert all(type(c) is int for a, b in P.ineqs for c in (*a, b))
-        assert from_json_dict(json.loads(json.dumps(to_json_dict(P)))) == P
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +606,15 @@ def test_lattice_count_sliced_frontier(monkeypatch):
     assert [lattice_count(P, G, k) for G, P, k in cases] == expected
 
 
-def test_lattice_count_independent_of_row_order_and_json():
+def test_lattice_count_independent_of_row_order():
     rng = random.Random(11)
     for G in (THETA, DUMBBELL, *generate_genus_graphs(3)):
         P = build_polytope(G)
         expected = [lattice_count(P, G, k) for k in (1, 4, 7)]
         rows = list(P.ineqs)
         rng.shuffle(rows)
-        for Q in (
-            ClebschGordanPolytope(P.dim, tuple(rows)),
-            from_json_dict(to_json_dict(P)),
-        ):
-            assert [lattice_count(Q, G, k) for k in (1, 4, 7)] == expected
+        Q = ClebschGordanPolytope(P.dim, tuple(rows))
+        assert [lattice_count(Q, G, k) for k in (1, 4, 7)] == expected
 
 
 def test_lattice_count_reads_the_polytope():
@@ -678,12 +631,17 @@ def test_lattice_count_reads_the_polytope():
                 assert lattice_count(Q, G, 2) > base
 
 
+def _theta_with_a_wide_row() -> ClebschGordanPolytope:
+    """Theta's polytope and the redundant row c_0 / 2^61 <= 1, written
+    c_0 <= 2^61: of magnitude 1 + 2^61 * k at level k."""
+    P = build_polytope(THETA)
+    return ClebschGordanPolytope(P.dim, (*P.ineqs, ((1, 0, 0), 2**61)))
+
+
 def test_lattice_count_int64_guard():
-    # The redundant row c_0 / 2^61 <= 1 scales to integer rows of magnitude
-    # 1 + 2^61 * k: below the 2^62 working limit at k = 1, at it for k = 2.
-    data = to_json_dict(build_polytope(THETA))
-    data["ineqs"].append([f"1/{2**61}", "0", "0", "1"])
-    P = from_json_dict(data)
+    # The wide row stays below the 2^62 working limit at k = 1 and reaches
+    # it at k = 2.
+    P = _theta_with_a_wide_row()
     assert lattice_count(P, THETA, 1) == 4
     with pytest.raises(ValueError, match="2\\^62"):
         lattice_count(P, THETA, 2)
@@ -691,36 +649,46 @@ def test_lattice_count_int64_guard():
 
 def _lattice_oracle(P: ClebschGordanPolytope, G, k: int, span=None) -> int:
     """Every label vector in span^dim (span = range(k + 1) by default), tested
-    exactly with ``contains``."""
+    exactly against every row."""
     triples = G.vertex_edge_triples()
     count = 0
     for labels in product(span or range(k + 1), repeat=P.dim):
         if any((labels[a] + labels[b] + labels[c]) % 2 for a, b, c in triples):
             continue
-        count += contains(P, tuple(Fraction(j, k) for j in labels))
+        count += _inside(P, [Fraction(j, k) for j in labels])
     return count
+
+
+def _with_rational_cuts(P: ClebschGordanPolytope) -> ClebschGordanPolytope:
+    """P cut by -3c_0 <= -1 and c_1 - c_2/5 <= 2/3, written 15c_1 - 3c_2 <= 10."""
+    d = P.dim
+    cuts = (
+        (tuple(-3 if i == 0 else 0 for i in range(d)), -1),
+        (tuple({1: 15, 2: -3}.get(i, 0) for i in range(d)), 10),
+    )
+    return ClebschGordanPolytope(d, P.ineqs + cuts)
 
 
 def test_lattice_count_rational_cuts_match_oracle():
     # Cuts with coefficients other than +-1 and +-2 make the interval bounds
     # round: c_0 >= 1/3 needs ceil division, c_1 <= 2/3 + c_2/5 floor.
-    f = Fraction
     for G, k_max in ((THETA, 7), (DUMBBELL, 7), (generate_genus_graphs(3)[2], 3)):
-        P = build_polytope(G)
-        d = P.dim
-        cuts = (
-            (tuple(f(-3) if i == 0 else f(0) for i in range(d)), f(-1)),
-            (tuple({1: f(1), 2: f(-1, 5)}.get(i, f(0)) for i in range(d)), f(2, 3)),
-        )
-        Q = ClebschGordanPolytope(d, P.ineqs + cuts)
+        Q = _with_rational_cuts(build_polytope(G))
         for k in range(1, k_max + 1):
             assert lattice_count(Q, G, k) == _lattice_oracle(Q, G, k), (G, k)
+
+
+def _signed_box_with_cuts() -> ClebschGordanPolytope:
+    """The box [-1, 1]^3 cut by c_0 + c_1 - c_2 <= 1/2 and c_0 + c_1 + c_2
+    <= -1/2, each row written times 2."""
+    rows = [(a, 1) for a, _ in _box(3).ineqs]
+    rows += [((2, 2, -2), 1), ((2, 2, 2), -1)]
+    return ClebschGordanPolytope(3, tuple(rows))
 
 
 def test_lattice_count_reads_the_label_box():
     # Without the cap and with the box widened to c_e <= 2, theta's polytope
     # holds labels up to 2k, e.g. (2, 2, 2) at k = 1.
-    f = Fraction
     P = build_polytope(THETA)
     rows = [(a, 2 * b if b == 1 else b) for a, b in P.ineqs if b != 2]
     Q = ClebschGordanPolytope(P.dim, tuple(rows))
@@ -728,23 +696,25 @@ def test_lattice_count_reads_the_label_box():
     for k in (2, 3):
         expected = _lattice_oracle(Q, THETA, k, range(2 * k + 1))
         assert lattice_count(Q, THETA, k) == expected
-    # The box [-1, 1]^3 with two rational cuts: labels run below zero, and
-    # c_0 reaches past 0 only because the later labels can be negative.
-    rows = [(a, f(1)) for a, _ in _box(3).ineqs]
-    rows += [((f(1), f(1), f(-1)), f(1, 2)), ((f(1), f(1), f(1)), f(-1, 2))]
-    Q = ClebschGordanPolytope(3, tuple(rows))
+    # Labels run below zero, and c_0 reaches past 0 only because the later
+    # labels can be negative.
+    Q = _signed_box_with_cuts()
     for k in (1, 2, 3):
         expected = _lattice_oracle(Q, THETA, k, range(-k, k + 1))
         assert lattice_count(Q, THETA, k) == expected
 
 
 def test_lattice_count_needs_a_label_box():
+    # lattice_counts reads each label box from the single-coordinate rows, so
+    # a polytope that drops any one of theta's six is not made.
     P = build_polytope(THETA)
+    dropped = 0
     for i, (a, b) in enumerate(P.ineqs):
         if sum(1 for c in a if c) == 1:
-            Q = ClebschGordanPolytope(P.dim, P.ineqs[:i] + P.ineqs[i + 1 :])
+            dropped += 1
             with pytest.raises(ValueError, match="single-coordinate"):
-                lattice_count(Q, THETA, 1)
+                ClebschGordanPolytope(P.dim, P.ineqs[:i] + P.ineqs[i + 1 :])
+    assert dropped == 6
 
 
 @pytest.mark.parametrize("g,k_max", [(2, 10), (3, 6), (4, 4)])
@@ -760,15 +730,8 @@ def test_lattice_counts_equal_each_level_on_every_class(g, k_max):
 def test_lattice_counts_on_cut_and_widened_polytopes():
     # The polytopes of the rational-cut and label-box tests, every level in
     # one pass: each level reads its own box and row bounds.
-    f = Fraction
     for G, k_max in ((THETA, 7), (DUMBBELL, 7), (generate_genus_graphs(3)[2], 2)):
-        P = build_polytope(G)
-        d = P.dim
-        cuts = (
-            (tuple(f(-3) if i == 0 else f(0) for i in range(d)), f(-1)),
-            (tuple({1: f(1), 2: f(-1, 5)}.get(i, f(0)) for i in range(d)), f(2, 3)),
-        )
-        Q = ClebschGordanPolytope(d, P.ineqs + cuts)
+        Q = _with_rational_cuts(build_polytope(G))
         levels = list(range(1, k_max + 1))
         assert lattice_counts(Q, G, levels) == [_lattice_oracle(Q, G, k) for k in levels]
     P = build_polytope(THETA)
@@ -776,9 +739,7 @@ def test_lattice_counts_on_cut_and_widened_polytopes():
     Q = ClebschGordanPolytope(P.dim, tuple(rows))
     expected = [_lattice_oracle(Q, THETA, k, range(2 * k + 1)) for k in (1, 2, 3)]
     assert lattice_counts(Q, THETA, [1, 2, 3]) == expected
-    rows = [(a, f(1)) for a, _ in _box(3).ineqs]
-    rows += [((f(1), f(1), f(-1)), f(1, 2)), ((f(1), f(1), f(1)), f(-1, 2))]
-    Q = ClebschGordanPolytope(3, tuple(rows))
+    Q = _signed_box_with_cuts()
     expected = [_lattice_oracle(Q, THETA, k, range(-k, k + 1)) for k in (1, 2, 3)]
     assert lattice_counts(Q, THETA, [1, 2, 3]) == expected
 
@@ -799,9 +760,7 @@ def test_lattice_counts_require_positive_levels():
 def test_lattice_counts_int64_guard_names_the_level():
     # As in test_lattice_count_int64_guard: level 1 fits, levels 2 and 3 do
     # not, and the error names the least of them.
-    data = to_json_dict(build_polytope(THETA))
-    data["ineqs"].append([f"1/{2**61}", "0", "0", "1"])
-    P = from_json_dict(data)
+    P = _theta_with_a_wide_row()
     assert lattice_counts(P, THETA, [1, 1]) == [4, 4]
     with pytest.raises(ValueError, match="at level 2 .* 2\\^62"):
         lattice_counts(P, THETA, [3, 1, 2])
@@ -819,13 +778,12 @@ def test_lattice_counts_past_int64_are_exact():
     # even: 32 label pairs (j_0, j_1) of even sum admit the 2^60 + 1 even
     # j_2, the 32 others the 2^60 odd ones.  The count passes 2^63 while
     # every row stays below the 2^62 working limit.
-    f = Fraction
     n = 2**60
     rows = []
     for e, hi in enumerate((7, 7, n)):
-        unit = tuple(f(1) if i == e else f(0) for i in range(3))
-        rows.append((unit, f(hi)))
-        rows.append((tuple(-c for c in unit), f(0) if hi == 7 else f(n)))
+        unit = tuple(1 if i == e else 0 for i in range(3))
+        rows.append((unit, hi))
+        rows.append((tuple(-c for c in unit), 0 if hi == 7 else n))
     Q = ClebschGordanPolytope(3, tuple(rows))
     assert lattice_counts(Q, THETA, [1]) == [32 * (n + 1) + 32 * n]
 
@@ -942,46 +900,3 @@ def test_moment_volume_closed_form():
         Fraction(32, 93555),
         Fraction(44224, 638512875),
     ]
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def test_json_roundtrip():
-    for G in (THETA, DUMBBELL, generate_genus_graphs(3)[0]):
-        P = build_polytope(G)
-        assert from_json_dict(to_json_dict(P)) == P
-
-
-def test_json_rational_strings():
-    data = to_json_dict(build_polytope(THETA))
-    assert data["dim"] == 3
-    assert all(isinstance(s, str) for row in data["ineqs"] for s in row)
-
-
-def test_json_rejects_bad_arity():
-    data = to_json_dict(build_polytope(THETA))
-    data["ineqs"][0] = data["ineqs"][0][:-1]
-    with pytest.raises(ValueError):
-        from_json_dict(data)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"dim": 2},
-        {"dim": 2, "ineqs": 5},
-        {"dim": "2", "ineqs": []},
-        {"ineqs": []},
-        [2],
-        {"dim": 1, "ineqs": [5]},
-        {"dim": 1, "ineqs": [["1", None]]},
-        {"dim": 1, "ineqs": [[0.5, "1"]]},
-        {"dim": 1, "ineqs": [["1/0", "1"]]},
-    ],
-)
-def test_json_rejects_malformed(data):
-    with pytest.raises(ValueError):
-        from_json_dict(data)
