@@ -50,14 +50,6 @@ class VerlindePolynomial:
     denominator: int
     coeffs: tuple[int, ...]
 
-    def monomials(self) -> tuple[Fraction, ...]:
-        """The coefficients of n^0, n^1, ..., n^(3m), zeros included."""
-        m = len(self.coeffs) - 1
-        out = [Fraction(0)] * (3 * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[m + 2 * i] = Fraction(c, self.denominator)
-        return tuple(out)
-
 
 @lru_cache(maxsize=256)
 def verlinde_polynomial(g: int) -> VerlindePolynomial:

@@ -350,14 +350,14 @@ def dumbbell_graph() -> TrinionGraph:
 
 
 def class_name(G: TrinionGraph) -> str | None:
-    """Stable human name for the genus-2 classes, else None."""
+    """Stable human name for the genus-2 classes, else None.
+
+    A cubic multigraph on two vertices is the theta graph or the dumbbell,
+    the one with a loop at each vertex (OEIS A005967).
+    """
     if G.vertex_count != 2:
         return None
-    if canonical_form(G) == canonical_form(theta_graph()):
-        return "theta"
-    if canonical_form(G) == canonical_form(dumbbell_graph()):
-        return "dumbbell"
-    return None
+    return "dumbbell" if G.loop_count(0) else "theta"
 
 
 def _necklace_graph(V: int) -> TrinionGraph:

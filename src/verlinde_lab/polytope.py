@@ -21,17 +21,19 @@ condition, so their count is a third route to the weight counts, which
 ``lattice_counts`` counts every requested level in one pass, with a numpy
 frontier of partial points fixed coordinate by coordinate along a connected
 edge order (``lattice_count`` is its single-level form); each point carries
-its level's index, which selects its label box and row bounds.  At each coordinate the admitted labels of a partial
-point form an interval, cut to one parity class by the vertices that
-complete there, so the next frontier is a repeat of arithmetic progressions
-and the last coordinate is summed per level in closed form.  Frontiers are
+its level's index, which selects its row bounds.  At each coordinate the
+admitted labels of a partial point form an interval, cut to one parity
+class by the vertices that complete there, so the next frontier is a repeat
+of arithmetic progressions and the last coordinate is summed per level in
+closed form.  Frontiers are
 expanded by ``graph.sliced_frontier``, which the brute-force route shares,
 in int64 under a checked magnitude bound per level.
 The parity condition thins the full (1/k)-lattice by 2^r, r = V - 1 the GF(2)
 rank of the parity system, so the counts grow as volume / 2^r times k^dim,
 with the volume in closed form (``moment_volume``); ``asymptotic_table``
-checks this exactly on the count polynomial, whose every coefficient must
-also equal the Verlinde polynomial's.
+checks this exactly on the count polynomial, which the CLI holds to the
+Verlinde rank at k = 0..dim: two polynomials of degree dim that agree at
+dim+1 levels are equal.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb, factorial, gcd
 
 import numpy as np
@@ -120,8 +123,7 @@ def build_polytope(G: TrinionGraph) -> ClebschGordanPolytope:
             for y in range(3):
                 if y != x:
                     coeffs[triple[y]] = coeffs.get(triple[y], 0) - 1
-            if any(c != 0 for c in coeffs.values()):
-                add(coeffs, 0)
+            add(coeffs, 0)
         total: dict[int, int] = {}
         for e in triple:
             total[e] = total.get(e, 0) + 1
@@ -257,7 +259,12 @@ def mc_volume(
     row whose positive coefficients sum to at most b holds at every point of
     [0,1)^dim, so skipping it changes no hit.  The test is made exactly, on
     the integer rows; for a moment polytope it drops the box rows.  A
-    polytope with no cut row (the unit box) estimates 1.0.
+    polytope with no cut row (the unit box) estimates 1.0.  The cube holds
+    P only when every coordinate has a lower single-coordinate row with
+    bound at most 0 and an upper one with bound at most its coefficient;
+    otherwise the estimate would be of P cut to the cube, so ValueError,
+    naming the first such coordinate, is raised instead.  The same pass
+    over the rows finds the cut rows and these box rows.
 
     A sample's coordinates are drawn stage by stage, and only while it is
     still inside.  Taking the cut rows in row order, each one that reads
@@ -280,11 +287,24 @@ def mc_volume(
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
-    cut = [
-        (a, b, [e for e, c in enumerate(a) if c])
-        for a, b in P.ineqs
-        if sum(c for c in a if c > 0) > b
-    ]
+    d = P.dim
+    cut = []
+    inside: tuple[set, set] = (set(), set())  # coordinates >= 0, coordinates <= 1
+    for a, b in P.ineqs:
+        support = list(compress(range(d), a))
+        top = sum(a[e] for e in support if a[e] > 0)
+        # A single-coordinate row c x_e <= b keeps x_e >= 0 (c < 0, top = 0)
+        # or x_e <= 1 (c = top > 0) exactly when b <= top.
+        if len(support) == 1 and b <= top:
+            inside[top > 0].add(support[0])
+        if top > b:
+            cut.append((a, b, support))
+    outside = set(range(d)) - (inside[0] & inside[1])
+    if outside:
+        raise ValueError(
+            f"coordinate {min(outside)} is not held to [0, 1] by a single-coordinate "
+            "row; mc_volume samples only the unit cube"
+        )
     pos: dict[int, int] = {}  # coordinate -> its place in draw order
     ends: list[int] = []  # per stage, the coordinates drawn through it
     tested: list[list] = []  # per stage, the rows it tests
@@ -365,12 +385,12 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     whole frontier of partial points at once, and the partial points of
     every requested level share that frontier: each carries its level's
     index, so the graph's rows, edge order and parity plan are read once
-    for all levels.  Each coordinate's labels lie in the box that P's
-    single-coordinate rows give it at that level; construction requires a
-    lower and an upper such row on every coordinate.  At coordinate t the
-    labels a partial point admits form an interval, read from the rows with
-    a nonzero coefficient at t and the least the later coordinates can add
-    to each row within their boxes at the point's level; the vertices
+    for all levels.  At coordinate t the labels a partial point admits form
+    an interval, read from the rows with a nonzero coefficient at t and the
+    least the later coordinates can add to each row within their boxes at
+    the point's level.  Construction requires a lower and an upper
+    single-coordinate row on every coordinate, so the box rows of t are
+    among the rows read there and bound every interval; the vertices
     completing at t cut it to one parity class.  ``graph.sliced_frontier``
     repeats each partial point once per admitted label, a point costing its
     labels plus two cells per row read at its next coordinate, where that
@@ -394,7 +414,7 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
     # nonzero coefficient.
     lows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     highs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    support = [[(e, c) for e, c in enumerate(ia) if c] for ia, _ in P.ineqs]
+    support = [[(e, ia[e]) for e in compress(range(d), ia)] for ia, _ in P.ineqs]
     for (_, ib), sup in zip(P.ineqs, support):
         if len(sup) == 1:
             e, c = sup[0]
@@ -447,15 +467,10 @@ def lattice_counts(P: ClebschGordanPolytope, G: TrinionGraph, levels) -> list[in
         read, A_read, bound, up, coef = plan[t]
         # np.take keeps the gathered arrays C-ordered, as fancy indexing
         # along the second axis does not.
-        lo = lo_t[:, t].take(lev)
-        hi = hi_t[:, t].take(lev)
-        if coef.size:
-            slack = bound.take(lev, axis=1)
-            slack -= A_read @ labels[read]
-            if up:
-                hi = np.minimum(hi, (slack[:up] // coef[:up]).min(axis=0))
-            if up < coef.size:
-                lo = np.maximum(lo, -(slack[up:] // coef[up:]).min(axis=0))
+        slack = bound.take(lev, axis=1)
+        slack -= A_read @ labels[read]
+        hi = (slack[:up] // coef[:up]).min(axis=0)
+        lo = -(slack[up:] // coef[up:]).min(axis=0)
         step = 1
         if odd[t] or even[t]:
             ok = np.ones(len(lev), dtype=bool)
@@ -516,9 +531,9 @@ class AsymptoticTable:
     ``leading_coefficient`` is its exact leading coefficient.  ``volume`` is
     the closed-form ``moment_volume``; the parity condition keeps only a 2^r
     fraction of the lattice, so ``volume_parity_corrected`` = volume / 2^r is
-    the constant the leading coefficient equals.  ``count_polynomial`` holds
-    all d+1 coefficients, of n^0..n^d in n = k+2, the variable of
-    ``fusion.verlinde_polynomial``.  ``extrapolated_limit`` fits
+    the constant the leading coefficient equals.  ``contraction_counts``
+    holds the counts at k = 0..d+1, of which the first d+1 fix the
+    polynomial.  ``extrapolated_limit`` fits
     count/k^d = C + a/k + b/k^2 through the last three levels (None when
     fewer than three rows exist).
     """
@@ -530,7 +545,7 @@ class AsymptoticTable:
     parity_rank: int
     volume_parity_corrected: Fraction
     leading_coefficient: Fraction
-    count_polynomial: tuple[Fraction, ...]
+    contraction_counts: tuple[int, ...]
 
 
 def _fit_limit(points: list[tuple[int, Fraction]]) -> Fraction:
@@ -551,12 +566,14 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
 
     N_k has degree d = E = 3g-3 in k (Zagier 1996): contraction runs at
     k = 0..d+1, a nonzero (d+1)-th forward difference raises ValueError, and
-    the differences at k = 0 give every other N_k by Newton's forward formula.
+    the differences at k = 0 give every other N_k by Newton's forward formula
+    and the leading coefficient, the d-th difference over d!.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     d = G.edge_count
-    diffs = [count_via_contraction(G, k) for k in range(d + 2)]
+    counts = tuple(count_via_contraction(G, k) for k in range(d + 2))
+    diffs = list(counts)
     for i in range(d + 1):  # diffs[j] becomes the j-th forward difference at k = 0
         diffs[i + 1 :] = [b - a for a, b in zip(diffs[i:], diffs[i + 1 :])]
     if diffs[d + 1]:
@@ -564,16 +581,6 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
             f"contraction counts at k = 0..{d + 1} are not a polynomial of degree "
             f"{d} in k: their {d + 1}-th difference is {diffs[d + 1]}"
         )
-    # d! N as a polynomial in n = k+2: N = sum_i diffs[i] C(n-2, i), where
-    # i! C(n-2, i) is the falling product (n-2)(n-3)...(n-1-i).
-    scaled, falling = [0] * (d + 1), [1]
-    for i in range(d + 1):
-        weight = diffs[i] * (factorial(d) // factorial(i))
-        for j, c in enumerate(falling):
-            scaled[j] += weight * c
-        # falling *= (n - 2 - i)
-        falling = [a - (2 + i) * b for a, b in zip([0, *falling], [*falling, 0])]
-    count_polynomial = tuple(Fraction(c, factorial(d)) for c in scaled)
     rows = []
     for k in range(1, k_max + 1):
         n = sum(comb(k, i) * diffs[i] for i in range(d + 1))
@@ -592,6 +599,6 @@ def asymptotic_table(G: TrinionGraph, k_max: int) -> AsymptoticTable:
         volume=vol,
         parity_rank=r,
         volume_parity_corrected=vol / 2**r,
-        leading_coefficient=count_polynomial[d],
-        count_polynomial=count_polynomial,
+        leading_coefficient=Fraction(diffs[d], factorial(d)),
+        contraction_counts=counts,
     )

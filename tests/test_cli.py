@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -742,6 +743,36 @@ def test_polytope_asymptotics_fails_on_a_perturbed_low_order_coefficient(
     monkeypatch.setattr(
         cli.polytope, "count_via_contraction", lambda G, k, **kw: real(G, k, **kw) + 1
     )
+    code, report, err = run_json(
+        capsys, "polytope", "--genus", "2", "--mode", "asymptotics", "--k-max", "5"
+    )
+    assert code == 1
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "leading-coefficient-equals-parity-corrected-volume[theta]": True,
+        "count-polynomial-equals-verlinde-polynomial[theta]": False,
+        "leading-coefficient-equals-parity-corrected-volume[dumbbell]": True,
+        "count-polynomial-equals-verlinde-polynomial[dumbbell]": False,
+    }
+    assert err == (
+        "failed checks: count-polynomial-equals-verlinde-polynomial[theta], "
+        "count-polynomial-equals-verlinde-polynomial[dumbbell]\n"
+    )
+
+
+def test_polytope_asymptotics_fails_on_a_perturbed_verlinde_polynomial(
+    capsys, fresh_verlinde_cache, monkeypatch
+):
+    # Adding the denominator to the constant coefficient moves every rank by
+    # n^m, still an integer, so only the comparison with the counts catches it.
+    # The cache fixture comes before monkeypatch, so it empties the real
+    # function's cache after the patch is undone.
+    real = cli.fusion.verlinde_polynomial
+
+    def shifted(g):
+        P = real(g)
+        return replace(P, coeffs=(P.coeffs[0] + P.denominator, *P.coeffs[1:]))
+
+    monkeypatch.setattr(cli.fusion, "verlinde_polynomial", shifted)
     code, report, err = run_json(
         capsys, "polytope", "--genus", "2", "--mode", "asymptotics", "--k-max", "5"
     )

@@ -211,7 +211,6 @@ def test_verlinde_polynomial_shape():
         P = verlinde_polynomial(g)
         assert P is verlinde_polynomial(g)
         assert len(P.coeffs) == g and P.denominator > 0
-        assert len(P.monomials()) == 3 * g - 2
     with pytest.raises(ValueError, match="genus"):
         verlinde_polynomial(1)
 
@@ -222,7 +221,6 @@ def test_verlinde_polynomial_top_coefficient_is_the_volume_law():
     for g in range(2, 13):
         P = verlinde_polynomial(g)
         assert Fraction(P.coeffs[-1], P.denominator) == moment_volume(g) / 2 ** (2 * g - 3)
-        assert P.monomials()[-1] == Fraction(P.coeffs[-1], P.denominator)
 
 
 def test_corrupted_cached_polynomial_raises_on_every_call(monkeypatch, fresh_verlinde_cache):

@@ -392,6 +392,20 @@ def test_mc_sample_floor():
         mc_volume(_box(2), 999, 0)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 2)])
+def test_mc_refuses_a_polytope_outside_the_unit_cube(lo, hi):
+    # [-1, 1]^2 and [0, 2]^2 both have volume 4, but sampling [0, 1)^2
+    # would estimate the volume of their part in the cube, 1.
+    rows = []
+    for e in range(2):
+        rows.append((tuple(-1 if i == e else 0 for i in range(2)), -lo))
+        rows.append((tuple(1 if i == e else 0 for i in range(2)), hi))
+    P = ClebschGordanPolytope(2, tuple(rows))
+    assert exact_volume(P) == 4
+    with pytest.raises(ValueError, match="coordinate 0 .*unit cube"):
+        mc_volume(P, 10_000, 0)
+
+
 def _mc_volume_row_major(P, samples, rng_seed):
     """Reference: each stage drawn for all its samples at once, with no slicing.
 
@@ -884,9 +898,12 @@ def test_count_polynomial_equals_the_verlinde_polynomial():
     cases = [*generate_genus_graphs(2), *generate_genus_graphs(3), graph._necklace_graph(8)]
     for G in cases:
         table = asymptotic_table(G, 3)
-        assert len(table.count_polynomial) == G.edge_count + 1
-        assert table.count_polynomial == verlinde_polynomial(G.genus).monomials()
-        assert table.leading_coefficient == table.count_polynomial[-1]
+        d = G.edge_count
+        assert table.contraction_counts == tuple(
+            verlinde_dim(G.genus, k) for k in range(d + 2)
+        )
+        P = verlinde_polynomial(G.genus)
+        assert table.leading_coefficient == Fraction(P.coeffs[-1], P.denominator)
 
 
 def test_moment_volume_closed_form():
